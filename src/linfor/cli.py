@@ -84,7 +84,6 @@ def _cmd_transform(args) -> int:
 
 def _verify_rows(args) -> list:
     theorem = args.theorem
-    threads = args.threads
     rows = []
     if args.input is not None:
         if theorem in ("theorem4", "theorem7"):
@@ -103,7 +102,7 @@ def _verify_rows(args) -> list:
             ks = [args.k] if args.k is not None else range(1, n)
             for k in ks:
                 print(f"verify {theorem}: n={n} k={k} r={r}", file=sys.stderr)
-                rows.append(brute_ex(n, r, k, threads=threads, dedup=args.dedup))
+                rows.append(brute_ex(n, r, k, dedup=args.dedup))
     elif theorem == "theorem3":
         n_max = args.n if args.n is not None else 6
         r = args.r if args.r is not None else 2
@@ -114,8 +113,7 @@ def _verify_rows(args) -> list:
                 for d in ds:
                     print(f"verify theorem3: n={n} k={k} r={r} d={d}", file=sys.stderr)
                     rows.append(
-                        brute_ex(n, r, k, min_degree=d, threads=threads,
-                                 dedup=args.dedup)
+                        brute_ex(n, r, k, min_degree=d, dedup=args.dedup)
                     )
     elif theorem in ("theorem5", "theorem6"):
         n_max = args.n if args.n is not None else 7
@@ -127,7 +125,7 @@ def _verify_rows(args) -> list:
                 if theorem == "theorem5":
                     print(f"verify theorem5: n={n} k={k}", file=sys.stderr)
                     rows.append(
-                        brute_ex_matching(n, 2, k, threads=threads, dedup=args.dedup)
+                        brute_ex_matching(n, 2, k, dedup=args.dedup)
                     )
                 else:
                     ds = [args.d] if args.d is not None else range(0, k + 1)
@@ -138,7 +136,7 @@ def _verify_rows(args) -> list:
                         )
                         rows.append(
                             brute_ex_matching(n, r, k, min_degree=d,
-                                              threads=threads, dedup=args.dedup)
+                                              dedup=args.dedup)
                         )
     elif theorem == "theorem4":
         k = args.k if args.k is not None else 7
@@ -219,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check graphs from a graph6 file instead of enumerating")
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=["json", "csv"], default="json")
-    pv.add_argument("--threads", type=int, default=_default_threads())
+    pv.add_argument("--threads", type=int, default=_default_threads(),
+                    help="accepted for compatibility; has no effect")
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.add_argument("--dedup", action="store_true",
                     help="enumerate one graph per isomorphism class")

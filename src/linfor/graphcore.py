@@ -269,7 +269,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise Graph6Error("empty graph6 record")
-    data = s.encode("ascii", errors="replace")
+    if not s.isascii():
+        raise Graph6Error("graph6 record has a non-ASCII character")
+    data = s.encode("ascii")
     if any(b < 63 or b > 126 for b in data):
         raise Graph6Error("graph6 byte outside printable range 63..126")
     if data[0] == 126:

@@ -1,7 +1,7 @@
 """Brute-force oracles and theorem/stability checkers."""
 
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import GraphProfiles, graph_profiles, iter_profile_chunks
+from .profile import GraphProfiles, graph_profiles
 from .reports import CSV_COLUMNS, SCHEMA_VERSION, reports_csv, reports_json
 from .stability import (
     EmbeddingCertificate,
@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_graphs",
     "GraphProfiles",
     "graph_profiles",
-    "iter_profile_chunks",
     "CSV_COLUMNS",
     "SCHEMA_VERSION",
     "reports_csv",

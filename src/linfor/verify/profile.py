@@ -1,33 +1,85 @@
-"""Vectorized per-graph profiles over all labeled graphs on n vertices.
+"""Per-graph profiles over all labeled graphs on n vertices, by subset transforms.
 
-For every edge mask m (bit p = edge p in column order) the kernel computes
-the maximum linear-forest size, the matching number, all vertex degrees, and
-the full clique vector, as numpy arrays indexed by m.  This backs the
-brute-force theorem oracles: every reduction over "all graphs with property
-P" becomes a boolean mask over these arrays.
+Index every labeled graph on n vertices by its edge mask m (bit p = edge p
+in column order, see graphcore.pair_index).  Each profile is a numpy array
+over all 2^C(n,2) masks, and each is a transform over the lattice of edge
+sets:
 
-The linear-forest size comes from an independent formulation: lf = n minus
-the minimum number of vertex-disjoint paths covering V (trivial paths
-allowed).  Hamiltonian-path endpoint sets per vertex subset are computed by
-the standard subset DP, then the cover minimum by a submask DP.  Matching
-numbers use the usual subset DP.  Everything is exact integer arithmetic.
+* lf(m), the largest linear forest inside m, is the subset-max transform of
+  the size indicator of the linear forests of K_n (acyclic, max degree 2);
+* nu(m), the matching number, is the same transform over the matchings of
+  K_n (max degree 1);
+* N_r(m), the number of r-cliques, is the subset-sum transform of the
+  indicator of the edge sets of the r-cliques of K_n;
+* mindeg(m) is the minimum over vertices of the per-vertex degree counts.
+
+A transform is Yates' algorithm, the fast zeta transform of Björklund,
+Husfeldt, Kaski and Koivisto ("Fourier meets Möbius: fast subset
+convolution", STOC 2007): C(n,2) in-place passes, pass p folding every mask
+without bit p into the same mask with it.  Both forest families come from a
+small edge-addition search that shares no code with linfor.forests, so the
+theorem oracles built on these arrays stay independent of the forest search.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from ..graphcore import pair_index
 
 PROFILE_CEILING = 8
-# full profile arrays are cached only up to this n (n = 8 would need ~5 GB)
-CACHE_CEILING = 7
 
-_INF = np.uint8(200)
+
+def _zeta(a: np.ndarray, op) -> np.ndarray:
+    """In place, a[m] <- op over a[s] for every s subset of m (Yates)."""
+    for p in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << p)  # v[:, 0] / v[:, 1]: masks without / with bit p
+        op(v[:, 1], v[:, 0], out=v[:, 1])
+    return a
+
+
+def _max_forest(n: int, cap: int) -> np.ndarray:
+    """Size of the largest acyclic edge set of max degree <= cap in each mask."""
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    best = np.zeros(1 << len(pairs), np.uint8)
+    deg = [0] * n
+
+    def grow(start: int, mask: int, size: int, comp: tuple[int, ...]) -> None:
+        best[mask] = size
+        for p in range(start, len(pairs)):
+            u, v = pairs[p]
+            if deg[u] < cap and deg[v] < cap and comp[u] != comp[v]:
+                cu, cv = comp[u], comp[v]
+                deg[u] += 1
+                deg[v] += 1
+                grow(p + 1, mask | 1 << p, size + 1,
+                     tuple(cu if c == cv else c for c in comp))
+                deg[u] -= 1
+                deg[v] -= 1
+
+    grow(0, 0, 0, tuple(range(n)))
+    return _zeta(best, np.maximum)
+
+
+def _min_degree(n: int) -> np.ndarray:
+    """Minimum degree per mask.  The degree of w in m is popcount(m & star(w));
+    over m = (high bits, low bits) it is an outer sum of two popcount tables."""
+    nbits = n * (n - 1) // 2
+    half = nbits // 2
+    lo = np.arange(1 << half, dtype=np.uint32)
+    hi = np.arange(1 << (nbits - half), dtype=np.uint32)
+    mindeg = np.full((len(hi), len(lo)), max(n - 1, 0), np.uint8)
+    deg = np.empty_like(mindeg)
+    for w in range(n):
+        star = sum(1 << pair_index(*sorted((u, w))) for u in range(n) if u != w)
+        np.add(np.bitwise_count(hi & (star >> half)).astype(np.uint8)[:, None],
+               np.bitwise_count(lo & star).astype(np.uint8), out=deg)
+        np.minimum(mindeg, deg, out=mindeg)
+    return mindeg.ravel()
 
 
 @dataclass
@@ -38,165 +90,33 @@ class GraphProfiles:
     lf: np.ndarray  # uint8: maximum linear-forest size
     nu: np.ndarray  # uint8: matching number
     mindeg: np.ndarray  # uint8
-    degs: np.ndarray  # (graphs, n) uint8
-    cliques: np.ndarray  # (graphs, n+1) uint8, column r = N_r, column 0 unused
+    _cliques: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.lf)
 
+    def cliques(self, r: int) -> np.ndarray:
+        """uint8 N_r per edge mask, computed on first use and kept."""
+        col = self._cliques.get(r)
+        if col is None:
+            a = np.zeros(self.count, np.uint8)
+            for vs in combinations(range(self.n), r):
+                a[sum(1 << pair_index(u, v) for u, v in combinations(vs, 2))] += 1
+            col = self._cliques[r] = _zeta(a, np.add)
+        return col
+
 
 _cache: dict[int, GraphProfiles] = {}
-_cache_lock = threading.Lock()
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for v in range(n) for u in range(v)]
-
-
-def _chunk_profiles(n: int, masks: np.ndarray):
-    """Profile one chunk of edge masks; returns (lf, nu, mindeg, degs, cliques)."""
-    m = len(masks)
-    pairs = _pairs(n)
-    full = (1 << n) - 1
-
-    rows = np.zeros((n, m), dtype=np.uint8)
-    for p, (u, v) in enumerate(pairs):
-        bit = (masks >> p & 1).astype(np.uint8)
-        rows[u] |= bit << v
-        rows[v] |= bit << u
-
-    degs = np.bitwise_count(rows).T.astype(np.uint8).copy()
-    mindeg = degs.min(axis=1) if n else np.zeros(m, np.uint8)
-
-    cliques = np.zeros((m, n + 1), dtype=np.uint8)
-    if n >= 1:
-        cliques[:, 1] = n
-    subsets = [1 << v for v in range(n)]
-    for r in range(2, n + 1):
-        nxt = []
-        for smask in subsets:
-            top = smask.bit_length()  # extend by vertices above the current top
-            for v in range(top, n):
-                nxt.append(smask | 1 << v)
-        subsets = nxt
-        for smask in subsets:
-            vs = [v for v in range(n) if smask >> v & 1]
-            em = 0
-            for i, v in enumerate(vs):
-                for u in vs[:i]:
-                    em |= 1 << pair_index(u, v)
-            cliques[:, r] += (masks & em) == em
-
-    # Hamiltonian-path endpoints per subset
-    ep = np.zeros((1 << n, m), dtype=np.uint8)
-    for v in range(n):
-        ep[1 << v] = np.uint8(1 << v)
-    for s in range(1, 1 << n):
-        if s & (s - 1) == 0:
-            continue
-        acc = ep[s]
-        t = s
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            reach = (ep[s ^ low] & rows[v]) != 0
-            acc |= reach.astype(np.uint8) << np.uint8(v)
-    hp = ep != 0
-    del ep
-
-    # minimum path cover by submask DP; lf = n - cover(full)
-    mpc = np.zeros((1 << n, m), dtype=np.uint8)
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        best = np.full(m, _INF, dtype=np.uint8)
-        sub = rest
-        while True:
-            t = sub | low
-            cand = mpc[s ^ t] + np.uint8(1)
-            np.minimum(best, cand, out=best, where=hp[t])
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        mpc[s] = best
-    lf = (np.uint8(n) - mpc[full]) if n else np.zeros(m, np.uint8)
-    del mpc, hp
-
-    # matching number by subset DP
-    nu = np.zeros((1 << n, m), dtype=np.uint8)
-    for s in range(1, 1 << n):
-        low = s & -s
-        v = low.bit_length() - 1
-        rest = s ^ low
-        best = nu[rest].copy()
-        t = rest
-        while t:
-            lo2 = t & -t
-            u = lo2.bit_length() - 1
-            t ^= lo2
-            has = (masks >> pair_index(u, v) & 1) != 0
-            cand = nu[s ^ low ^ lo2] + np.uint8(1)
-            np.maximum(best, cand, out=best, where=has)
-        nu[s] = best
-    nu_full = nu[full].copy() if n else np.zeros(m, np.uint8)
-    del nu
-
-    return lf, nu_full, mindeg, degs, cliques
-
-
-def iter_profile_chunks(n: int, threads: int = 1, chunk_bits: int = 16):
-    """Yield (start_mask, chunk profile tuple) over all 2^C(n,2) masks in order."""
+def graph_profiles(n: int) -> GraphProfiles:
+    """Profile arrays for all labeled graphs on n vertices (cached)."""
     if not 0 <= n <= PROFILE_CEILING:
         raise ValueError(f"profiles support 0 <= n <= {PROFILE_CEILING}")
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    size = min(total, 1 << chunk_bits)
-    starts = list(range(0, total, size))
-
-    def work(start: int):
-        masks = np.arange(start, min(start + size, total), dtype=np.uint32)
-        return _chunk_profiles(n, masks)
-
-    if threads <= 1 or len(starts) == 1:
-        for start in starts:
-            yield start, work(start)
-        return
-    # submit in waves so unconsumed results cannot pile up in memory
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i in range(0, len(starts), threads):
-            wave = starts[i : i + threads]
-            futures = [pool.submit(work, start) for start in wave]
-            for start, fut in zip(wave, futures):
-                yield start, fut.result()
-
-
-def graph_profiles(n: int, threads: int = 1) -> GraphProfiles:
-    """Full profile arrays for all labeled graphs on n vertices (cached)."""
-    if not 0 <= n <= CACHE_CEILING:
-        raise ValueError(
-            f"full profile arrays support n <= {CACHE_CEILING}; "
-            "use iter_profile_chunks for streaming"
+    prof = _cache.get(n)
+    if prof is None:
+        prof = _cache[n] = GraphProfiles(
+            n, _max_forest(n, 2), _max_forest(n, 1), _min_degree(n)
         )
-    with _cache_lock:
-        hit = _cache.get(n)
-    if hit is not None:
-        return hit
-    total = 1 << (n * (n - 1) // 2)
-    lf = np.zeros(total, np.uint8)
-    nu = np.zeros(total, np.uint8)
-    mindeg = np.zeros(total, np.uint8)
-    degs = np.zeros((total, n), np.uint8)
-    cliques = np.zeros((total, n + 1), np.uint8)
-    for start, (clf, cnu, cmind, cdegs, ccl) in iter_profile_chunks(n, threads):
-        end = start + len(clf)
-        lf[start:end] = clf
-        nu[start:end] = cnu
-        mindeg[start:end] = cmind
-        degs[start:end] = cdegs
-        cliques[start:end] = ccl
-    prof = GraphProfiles(n, lf, nu, mindeg, degs, cliques)
-    with _cache_lock:
-        _cache[n] = prof
     return prof

@@ -125,7 +125,8 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
         u, v = list(iter_bits(comp))
         extra_edges.append((u, v))
     cert = EmbeddingCertificate(p, tuple(parts), tuple(extra_edges))
-    assert validate_embedding(g, cert)
+    if not validate_embedding(g, cert):
+        raise RuntimeError(f"embedding certificate failed validation: {cert}")
     return cert
 
 

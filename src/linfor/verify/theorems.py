@@ -17,7 +17,7 @@ from ..constructions import h_r
 from ..forests import matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import CACHE_CEILING, graph_profiles, iter_profile_chunks
+from .profile import graph_profiles
 
 WITNESS_CAP = 16
 
@@ -54,37 +54,16 @@ def _witness_strings(n: int, masks: np.ndarray) -> tuple[str, ...]:
     return tuple(to_graph6(Graph.from_edge_mask(n, int(m))) for m in masks)
 
 
-def _reduce_streaming(n, r, eligible_fn, threads, chunk_bits=18):
-    """Streaming max-with-witnesses for n beyond the profile cache."""
-    best = -1
-    witness_masks: list[int] = []
-    for start, (lf, nu, mindeg, degs, cliques) in iter_profile_chunks(
-        n, threads=threads, chunk_bits=chunk_bits
-    ):
-        elig = eligible_fn(lf, nu, mindeg)
-        if not elig.any():
-            continue
-        vals = cliques[:, r] if r <= n else np.zeros(len(lf), np.uint8)
-        chunk_best = int(vals[elig].max())
-        if chunk_best > best:
-            best = chunk_best
-            witness_masks = []
-        if chunk_best == best and len(witness_masks) < WITNESS_CAP:
-            hits = np.flatnonzero(elig & (vals == chunk_best))
-            for h in hits[: WITNESS_CAP - len(witness_masks)]:
-                witness_masks.append(start + int(h))
-    return best, witness_masks
-
-
-def _oracle_max(n, r, eligible_fn, threads):
-    if n <= CACHE_CEILING:
-        prof = graph_profiles(n, threads=threads)
-        elig = eligible_fn(prof.lf, prof.nu, prof.mindeg)
-        vals = prof.cliques[:, r] if r <= n else np.zeros(prof.count, np.uint8)
-        best = int(vals[elig].max())
-        masks = np.flatnonzero(elig & (vals == best))[:WITNESS_CAP]
-        return best, [int(m) for m in masks]
-    return _reduce_streaming(n, r, eligible_fn, threads)
+def _oracle_max(prof, r, elig, d):
+    """Max N_r over the masks in elig with min degree >= d, with the first
+    WITNESS_CAP maximizing graphs in ascending mask order."""
+    if d:
+        elig &= prof.mindeg >= d
+    vals = prof.cliques(r)
+    best = int(vals[elig].max())
+    hits = vals == best
+    hits &= elig
+    return best, _witness_strings(prof.n, np.flatnonzero(hits)[:WITNESS_CAP])
 
 
 def brute_ex(
@@ -100,6 +79,7 @@ def brute_ex(
     Without min_degree this reproduces the L_k-free extremal counts (edge
     case r = 2 is the classical one); with min_degree d it checks the
     degree-constrained bound max{h_r(n,k,d), h_r(n,k,floor((k-1)/2))}.
+    `threads` is accepted for compatibility and has no effect.
     """
     if n < k + 1:
         raise ValueError("oracle needs n >= k + 1")
@@ -118,13 +98,8 @@ def brute_ex(
             n, r, lambda g: _lk_free_mindeg(g, k, d)
         )
     else:
-        dd = 0 if d is None else d
-
-        def eligible(lf, nu, mindeg):
-            return (lf <= k - 1) & (mindeg >= dd)
-
-        oracle, masks = _oracle_max(n, r, eligible, threads)
-        witnesses = _witness_strings(n, masks)
+        prof = graph_profiles(n)
+        oracle, witnesses = _oracle_max(prof, r, prof.lf <= k - 1, d)
 
     theorem = ("theorem1" if r == 2 else "theorem2") if d is None else "theorem3"
     kind = "equality" if d is None else "bound"
@@ -143,7 +118,7 @@ def brute_ex_matching(
 
     Without min_degree this is the classical matching bound (equality at
     r = 2); with min_degree d the generalized clique version, which assumes
-    n >= 2k + 2.
+    n >= 2k + 2.  `threads` is accepted for compatibility and has no effect.
     """
     if k < 1:
         raise ValueError("matching bound k must be positive")
@@ -165,13 +140,8 @@ def brute_ex_matching(
             n, r, lambda g: _matching_mindeg(g, k, d)
         )
     else:
-        dd = 0 if d is None else d
-
-        def eligible(lf, nu, mindeg):
-            return (nu <= k) & (mindeg >= dd)
-
-        oracle, masks = _oracle_max(n, r, eligible, threads)
-        witnesses = _witness_strings(n, masks)
+        prof = graph_profiles(n)
+        oracle, witnesses = _oracle_max(prof, r, prof.nu <= k, d)
 
     theorem = ("theorem5" if r == 2 else "theorem6") if d is None else "theorem6"
     kind = "equality" if theorem == "theorem5" else "bound"

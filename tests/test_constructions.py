@@ -162,7 +162,7 @@ class TestCliqueBound:
                 bound = np.array(
                     [clique_bound_from_edges(m, r) for m in range(n * (n - 1) // 2 + 1)]
                 )
-                assert (prof.cliques[:, r] <= bound[edge_counts] + 1e-9).all()
+                assert (prof.cliques(r) <= bound[edge_counts] + 1e-9).all()
 
 
 class TestHostFreeness:

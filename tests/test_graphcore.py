@@ -100,6 +100,12 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6(record + "?")
 
+    def test_parse_rejects_non_ascii(self):
+        # "é" must not be read as a "?" digit, which would give an empty graph
+        for record in ("Aé", "A\u2603", ">>graph6<<Aé"):
+            with pytest.raises(Graph6Error):
+                parse_graph6(record)
+
     def test_parse_rejects_out_of_range_n(self):
         # long-form header for n = 100
         record = chr(126) + chr(63) + chr(63 + 1) + chr(63 + 36)

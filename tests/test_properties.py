@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from linfor import (
     Graph,
+    Graph6Error,
     disjoint_union,
     edges_between,
     is_lk_free,
@@ -27,6 +28,16 @@ def graphs(draw, max_n=9):
 @given(graphs(max_n=20))
 def test_graph6_roundtrip(g):
     assert parse_graph6(to_graph6(g)) == g
+
+
+@given(st.text())
+def test_graph6_parse_rejects_or_reads_printable_ascii(text):
+    try:
+        parse_graph6(text)
+    except Graph6Error:
+        return
+    record = text.strip().removeprefix(">>graph6<<")
+    assert all(63 <= ord(c) <= 126 for c in record)
 
 
 @given(graphs(), st.data())

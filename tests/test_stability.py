@@ -18,6 +18,15 @@ from linfor.verify import (
 
 
 class TestEmbedsInHost:
+    def test_invalid_certificate_raises(self, monkeypatch):
+        # the certificate check must not be an assert, which `python -O` strips
+        monkeypatch.setattr(
+            "linfor.verify.stability.validate_embedding", lambda g, cert: False
+        )
+        p = ConstructionParams(8, 5, 2)
+        with pytest.raises(RuntimeError):
+            embeds_in_host(build_host(p), p)
+
     def test_identity_embedding(self):
         p = ConstructionParams(8, 5, 2)
         cert = embeds_in_host(build_host(p), p)

@@ -1,5 +1,6 @@
 """Enumeration, the vectorized profile kernel, and the theorem oracles."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -25,6 +26,100 @@ from linfor.verify import (
 )
 
 from .oracles import count_cliques_subsets, lf_subset_dp, matching_subset_dp
+
+# sha256 of every uint8 profile array for n = 0..7 ("cliques" lists N_1..N_n),
+# captured from the earlier vertex-subset DP kernel, which computed lf from
+# minimum path covers and nu and N_r by their own subset DPs
+PINNED_DIGESTS = {
+    0: {
+        "lf": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "nu": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "mindeg": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "cliques": [],
+    },
+    1: {
+        "lf": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "nu": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "mindeg": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "cliques": [
+            "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+        ],
+    },
+    2: {
+        "lf": "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "nu": "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "mindeg": "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        "cliques": [
+            "50cff72c8e550546d661ec235431888fb2f9f7bada40c17020d47f6ccc117aae",
+            "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+        ],
+    },
+    3: {
+        "lf": "42e41f72ee6d9c3eb14d3d17dfb586ebc0abe8bb6146053d1e64582ac240067c",
+        "nu": "58b152dbcbf85e1396e9d063bb32d246ef9bbf87b88340e7313c641783a7cbdd",
+        "mindeg": "d09f5c1fd903da03f5f2002a919d2f2f56a80f028cf5d0853b8df105cafbc438",
+        "cliques": [
+            "d155d4b4a5d82abdc42ce8dcc31a7339a003b872ec0332c856f69d6ccc59c967",
+            "db3a85c6851c53d5d2c74587ad63684643d4b94ac48197ba17c55c89ce56c16c",
+            "cd2662154e6d76b2b2b92e70c0cac3ccf534f9b74eb5b89819ec509083d00a50",
+        ],
+    },
+    4: {
+        "lf": "8dd5ad5e0865c31fcc545c1b9e5b17e8a55a2a56e62e8be416c874c515adf6c3",
+        "nu": "7a03328bf65cf8b6c9680d05fd236ba4332005139d1fa55f4e6597f59f601ed8",
+        "mindeg": "200b790fdf7e2877752e8c299595cce7c0abd49bfffe75f7503918165763bc2c",
+        "cliques": [
+            "cb4cdf1351c7b7812e52b873640ab20bd748a7142ffec144b18439bc8b833924",
+            "2950a6a95a2bfc8a9851561b05fc33947260b489c498beddb0add201d9480ddc",
+            "7d08843cdddcab55530b47c2cb421f67ffc16ca6ca5fe3f75062537061081880",
+            "90f4b39548df55ad6187a1d20d731ecee78c545b94afd16f42ef7592d99cd365",
+        ],
+    },
+    5: {
+        "lf": "bcad908ce4999202247160e52ffbdf73b7f834d18c4457c47aa1e65562941a73",
+        "nu": "2479a96be8253eb461aabf521dc8c0ee336a1378b8d95a87300b42a209ec1b10",
+        "mindeg": "d7e9e86c34af6dd49fb541b7ba7df25fe26a53986398a82b4b177a9f0edf0a10",
+        "cliques": [
+            "1ba794e9305174cbcd58c9e8ce282af85b353d87ccd380db3a41c3bc4615d273",
+            "586c42de711795257a28f472b11e76ed8fd4b07f6f834ac19fdfee2d584f8f95",
+            "54247a7c8725e1addcaee3d248343eaca8e1b8e35f5698df3578e78cb2cd49dc",
+            "a6888665e443aa0b0a1dce655116807c6d74258fb489bd9bb9bbd81053a5fb21",
+            "4b6e04b8a58c45f207527a7e4cfd8362f5ad1db979486851f1ad2b6db4c5343b",
+        ],
+    },
+    6: {
+        "lf": "5178d4f3360d5977cdf34aebdf544839209ac246158a79e46fd8609ead43a4a0",
+        "nu": "a72c0654b539a02c4fac609f4f8bf0f225ecb98b6db164f112d8ca08b570b29c",
+        "mindeg": "7b3d23e81381ab22b06d4fd9587bee2483b17e008dca3461da21b7677c3e896d",
+        "cliques": [
+            "296f2020280bfe340be212090c7564c45d6f9bb0df8b85ebf7483a41e6faa38a",
+            "4804c132717ef69770e63468937ae219392e0346288a0d356388e7d60d576748",
+            "0c77e0fa2d54366764d38df0152d3b7c1a4a8911358891bcc1cf96dd21fa2747",
+            "40cbb59cf65b652c6dc21ddb975fc6f8990712e62acc2afcb7cc032ca6df16e9",
+            "aaef2cb9e625d1f1de8c5695bb57db2d4c3f5ca272d91d89924791b9d1ef5d21",
+            "09f9729b31669c63f2d85f13ae9bf53979cfba4317b99cb2fb7637c8895e3e2a",
+        ],
+    },
+    7: {
+        "lf": "445a2aab19daaff726701735f80f14204e5dadd0824b66ff39cb44bd164d8b51",
+        "nu": "34d40aa350061cfbdf422b128e8c2411891571c956547bb6ee0a857126050b74",
+        "mindeg": "91c562cc2895b6840e7fd87d0213f763592474cc1bc50593b505fe3100518dd8",
+        "cliques": [
+            "c406296b30d433e27c08e2989ad557c7e9ae7825d1bea14c42aa4ef53c9e8a9d",
+            "a315cb862ad3f2fe3c2381a3dafad4c5c19346b710382f9a2700169e3ead54eb",
+            "5d06c0b302e9c8776a2ec42234cb6c5b0d1cd3728f92c9f22a1647834ccac4e0",
+            "e897e1d427f461e0094c30bcc0ba300e1768f25cc0c5fb3a2ea20059f55cc885",
+            "12c8a61693a282b1f106e9bcaefee09b8f06135385971c6a48e37a4aeabbd4ac",
+            "e540abcd86c641108c1b91ca0b24f7ba3319cc81e5441d9301e85d719f73a0b3",
+            "c04bff05ea31e406be1ddce1854262d6ad700f8e0dadd4f13c77356df56dddc1",
+        ],
+    },
+}
+
+
+def _sha256(a: np.ndarray) -> str:
+    assert a.dtype == np.uint8 and a.ndim == 1
+    return hashlib.sha256(a.tobytes()).hexdigest()
 
 
 class TestEnumerate:
@@ -72,7 +167,7 @@ class TestProfiles:
                 if n:
                     assert prof.mindeg[mask] == min(g.degree(v) for v in range(n))
                 for r in range(1, n + 1):
-                    assert prof.cliques[mask, r] == count_cliques(g, r)
+                    assert prof.cliques(r)[mask] == count_cliques(g, r)
 
     def test_against_independent_oracles_sampled(self):
         prof = graph_profiles(6)
@@ -81,7 +176,7 @@ class TestProfiles:
             g = Graph.from_edge_mask(6, mask)
             assert prof.lf[mask] == lf_subset_dp(g)
             assert prof.nu[mask] == matching_subset_dp(g)
-            assert prof.cliques[mask, 3] == count_cliques_subsets(g, 3)
+            assert prof.cliques(3)[mask] == count_cliques_subsets(g, 3)
 
     def test_forest_and_matching_exhaustive_n6(self):
         prof = graph_profiles(6)
@@ -103,15 +198,17 @@ class TestProfiles:
             for k in range(4):
                 assert (prof.lf[prof.nu <= k] <= 2 * k).all()
 
-    def test_threading_is_deterministic(self):
-        base = graph_profiles(5)
-        from linfor.verify.profile import iter_profile_chunks
-
-        pieces = []
-        for start, (lf, nu, mind, degs, cl) in iter_profile_chunks(5, threads=2, chunk_bits=7):
-            pieces.append(lf)
-        threaded = np.concatenate(pieces)
-        assert np.array_equal(base.lf, threaded)
+    def test_arrays_match_pinned_digests(self):
+        for n, pinned in PINNED_DIGESTS.items():
+            prof = graph_profiles(n)
+            assert prof.count == 1 << (n * (n - 1) // 2)
+            got = {
+                "lf": _sha256(prof.lf),
+                "nu": _sha256(prof.nu),
+                "mindeg": _sha256(prof.mindeg),
+                "cliques": [_sha256(prof.cliques(r)) for r in range(1, n + 1)],
+            }
+            assert got == pinned, n
 
 
 class TestBruteEx:
