@@ -92,7 +92,9 @@ def _verify_rows(args) -> list:
             raise ValueError("input-graph mode needs --k")
         r = args.r if args.r is not None else 2
         for g in _read_graphs(args.input):
-            rows.append(check_input_graph(g, theorem, args.k, r, args.d))
+            rows.append(
+                check_input_graph(g, theorem, args.k, r, args.d, budget=args.budget)
+            )
         return rows
 
     if theorem in ("theorem1", "theorem2"):

@@ -64,24 +64,22 @@ def count_cliques(g: Graph, r: int) -> int:
     if r == 1:
         return g.n
     succ = _successor_masks(g)
+    return sum(_expand(succ[v], r - 1, succ) for v in range(g.n))
 
-    def expand(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        if cand.bit_count() < need:
-            return 0
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += expand(cand & succ[v], need - 1)
-        return total
 
+def _expand(cand: int, need: int, succ: list[int]) -> int:
+    """need-cliques inside cand whose vertices ascend in degeneracy rank."""
+    if need == 1:
+        return cand.bit_count()
+    if cand.bit_count() < need:
+        return 0
     total = 0
-    for v in range(g.n):
-        total += expand(succ[v], r - 1)
+    m = cand
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        total += _expand(cand & succ[v], need - 1, succ)
     return total
 
 

@@ -1,8 +1,11 @@
 """Exact linear-forest and matching computations.
 
 A linear forest is a subgraph whose components are paths; its size is its
-edge count.  ``max_linear_forest`` is the L_k-freeness oracle: a graph is
-L_k-free iff its maximum linear forest has at most k-1 edges.
+edge count.  A graph is L_k-free iff its maximum linear forest has at most
+k-1 edges.  ``max_linear_forest`` computes that maximum with a witness;
+``is_lk_free`` only decides it.  The decision first brackets lf by the
+blossom matching number, nu <= lf <= 2 nu, and runs the forest search only
+when the bracket leaves k open; that search stops at the first k-edge forest.
 
 The forest search builds paths edge by edge and memoizes on twin-collapsed
 states: vertices with identical neighborhoods (adjacent or not) are
@@ -14,8 +17,9 @@ the usual exponential search, guarded by a node budget.
 Determinism: twin classes are indexed by their smallest vertex; from an open
 path the search tries extensions by ascending class index and then closing;
 with no open path it tries starting edges by ascending class-index pairs and
-then stopping.  The witness replays the first action achieving the optimal
-value, always consuming the lowest-index unused vertex of a class.
+then stopping.  Each memo entry keeps the first move achieving its value, and
+the witness follows those moves, always consuming the lowest-index unused
+vertex of a class.
 """
 
 from __future__ import annotations
@@ -120,117 +124,132 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     return _twin_classes_rows(g.n, g.adj)
 
 
+class _ForestSearch:
+    """Memoised path-by-path search over the twin-collapsed states of one graph.
+
+    A state is ``(counts, tail)``: the per-class number of consumed vertices
+    and the class of the open path end, or -1 when no path is open.  ``memo``
+    maps each fully explored state to ``(value, next_state, start_class)``:
+    its best completion and the first move reaching it, where
+    ``start_class`` is the class of a new path's first vertex (-1 for an
+    extension or a close).  A state left early is never stored, so every
+    entry is exact.  With an edge target ``k`` the search stops at the first
+    forest of k edges; without one it computes the maximum.
+    """
+
+    def __init__(self, g: Graph, budget: int, k: int | None = None) -> None:
+        classes = twin_classes(g)
+
+        def adjacent(c: int, e: int) -> bool:
+            # within a class: complete for true twins, empty for false twins
+            u = classes[c][0]
+            if e == c:
+                return len(classes[c]) >= 2 and bool(g.adj[u] >> classes[c][1] & 1)
+            return bool(g.adj[u] >> classes[e][0] & 1)
+
+        m = len(classes)
+        self.nbr_classes = [[e for e in range(m) if adjacent(c, e)] for c in range(m)]
+        self.classes = classes
+        self.sizes = [len(c) for c in classes]
+        self.root = ((0,) * m, -1)
+        self.budget = budget
+        self.k = k
+        self.n = g.n
+        self.memo: dict[tuple[tuple[int, ...], int], tuple] = {}
+
+    def run(self) -> int:
+        """lf(g) when k is None; otherwise a value that is >= k iff lf(g) >= k."""
+        # g.n + 1 edges exceed every forest of g, even at n = 0, so the exact
+        # search never stops early and stores every state it reaches
+        return self.best(self.root, self.n + 1 if self.k is None else self.k)
+
+    def best(self, state: tuple[tuple[int, ...], int], need: int) -> int:
+        """Edges of the best forest completing ``state``.
+
+        Exact when below ``need``.  As soon as ``need`` more edges are in
+        reach the search returns a value >= need without finishing.
+        """
+        memo = self.memo
+        hit = memo.get(state)
+        if hit is not None:
+            return hit[0]
+        if need <= 0:
+            return 0
+        if len(memo) >= self.budget:
+            what = "the maximum" if self.k is None else f"k = {self.k}"
+            raise BudgetExceeded(
+                f"linear-forest search for {what} exceeded its budget of "
+                f"{self.budget} states after exploring {len(memo)} states of "
+                f"a {self.n}-vertex graph with {len(self.sizes)} twin classes"
+            )
+        counts, tail = state
+        sizes = self.sizes
+        val, move, start = 0, None, -1
+        # from an open path: extend by ascending class, then close; with no
+        # open path: start by ascending class pair, then stop
+        if tail >= 0:
+            for e in self.nbr_classes[tail]:
+                if counts[e] < sizes[e]:
+                    nxt = list(counts)
+                    nxt[e] += 1
+                    child = (tuple(nxt), e)
+                    v = 1 + self.best(child, need - 1)
+                    if v > val:
+                        if v >= need:
+                            return v
+                        val, move = v, child
+            child = (counts, -1)
+            v = self.best(child, need)
+            if v > val:
+                if v >= need:
+                    return v
+                val, move = v, child
+        else:
+            for c, nbrs in enumerate(self.nbr_classes):
+                if counts[c] >= sizes[c]:
+                    continue
+                for e in nbrs:
+                    if sizes[e] - counts[e] - (e == c) < 1:
+                        continue
+                    nxt = list(counts)
+                    nxt[c] += 1
+                    nxt[e] += 1
+                    child = (tuple(nxt), e)
+                    v = 1 + self.best(child, need - 1)
+                    if v > val:
+                        if v >= need:
+                            return v
+                        val, move, start = v, child, c
+        memo[state] = (val, move, start)
+        return val
+
+
 def max_linear_forest(g: Graph, budget: int = DEFAULT_BUDGET) -> ForestResult:
     """Maximum number of edges over all linear-forest subgraphs, with witness.
 
-    Raises BudgetExceeded when the memoized state count passes ``budget``.
+    The witness follows the first optimal move of each state, mapping a
+    class to its lowest unused vertex.  Raises BudgetExceeded when the
+    memoized state count passes ``budget``.
     """
-    classes = twin_classes(g)
-    m = len(classes)
-    sizes = [len(c) for c in classes]
-    reps = [c[0] for c in classes]
-    # class-level adjacency; within a class: complete for true twins, empty
-    # for false twins
-    adj_between = [[False] * m for _ in range(m)]
-    internal = [False] * m
-    for ci in range(m):
-        for cj in range(ci + 1, m):
-            adj_between[ci][cj] = adj_between[cj][ci] = bool(
-                g.adj[reps[ci]] >> reps[cj] & 1
-            )
-        if sizes[ci] >= 2:
-            internal[ci] = bool(g.adj[classes[ci][0]] >> classes[ci][1] & 1)
-    nbr_classes = [
-        [e for e in range(m) if (adj_between[c][e] if e != c else internal[c])]
-        for c in range(m)
-    ]
-
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def best(counts: tuple[int, ...], tail: int) -> int:
-        key = (counts, tail)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if len(memo) >= budget:
-            raise BudgetExceeded(f"linear-forest search exceeded {budget} states")
-        val = 0
-        if tail >= 0:
-            for e in nbr_classes[tail]:
-                if counts[e] < sizes[e]:
-                    nxt = list(counts)
-                    nxt[e] += 1
-                    val = max(val, 1 + best(tuple(nxt), e))
-            val = max(val, best(counts, -1))
-        else:
-            for c in range(m):
-                if counts[c] >= sizes[c]:
-                    continue
-                for e in nbr_classes[c]:
-                    free = sizes[e] - counts[e] - (1 if e == c else 0)
-                    if free < 1:
-                        continue
-                    nxt = list(counts)
-                    nxt[c] += 1
-                    nxt[e] += 1
-                    val = max(val, 1 + best(tuple(nxt), e))
-        memo[key] = val
-        return val
-
-    size = best((0,) * m, -1)
-
-    # replay the first optimal action sequence, mapping classes to their
-    # lowest unused vertices
-    used = [0] * m  # per class: count consumed; members taken in index order
+    search = _ForestSearch(g, budget)
+    size = search.run()
+    used = [0] * len(search.sizes)  # per class: members taken in index order
 
     def take(c: int) -> int:
-        v = classes[c][used[c]]
         used[c] += 1
-        return v
+        return search.classes[c][used[c] - 1]
 
     edges: list[tuple[int, int]] = []
-    counts = (0,) * m
-    tail = -1
     tail_vertex = -1
-    remaining = size
-    while remaining > 0:
-        if tail >= 0:
-            moved = False
-            for e in nbr_classes[tail]:
-                if counts[e] < sizes[e]:
-                    nxt = list(counts)
-                    nxt[e] += 1
-                    if 1 + best(tuple(nxt), e) == remaining:
-                        w = take(e)
-                        edges.append((tail_vertex, w))
-                        counts, tail, tail_vertex = tuple(nxt), e, w
-                        remaining -= 1
-                        moved = True
-                        break
-            if not moved:
-                tail, tail_vertex = -1, -1
+    _, move, start = search.memo[search.root]
+    while move is not None:
+        if move[1] < 0:
+            tail_vertex = -1
         else:
-            for c in range(m):
-                if counts[c] >= sizes[c]:
-                    continue
-                done = False
-                for e in nbr_classes[c]:
-                    free = sizes[e] - counts[e] - (1 if e == c else 0)
-                    if free < 1:
-                        continue
-                    nxt = list(counts)
-                    nxt[c] += 1
-                    nxt[e] += 1
-                    if 1 + best(tuple(nxt), e) == remaining:
-                        u = take(c)
-                        w = take(e)
-                        edges.append((u, w))
-                        counts, tail, tail_vertex = tuple(nxt), e, w
-                        remaining -= 1
-                        done = True
-                        break
-                if done:
-                    break
+            u = take(start) if start >= 0 else tail_vertex
+            tail_vertex = take(move[1])
+            edges.append((u, tail_vertex))
+        _, move, start = search.memo[move]
     return ForestResult(size, tuple(edges))
 
 
@@ -238,11 +257,21 @@ def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff g contains no linear forest with exactly k edges.
 
     Any linear forest of size >= k contains one of exactly k edges (delete
-    edges), so this is equivalent to max_linear_forest(g).size <= k - 1.
+    edges), so this is max_linear_forest(g).size <= k - 1, decided without
+    computing lf: the matching number nu brackets it as nu <= lf <= 2 nu (a
+    matching is a linear forest; a path of l edges holds a matching of
+    ceil(l/2) edges), so nu >= k means not free and 2 nu <= k - 1 means free.
+    Otherwise the forest search runs and stops at the first k-edge forest.
+    Raises BudgetExceeded when that search passes ``budget`` states.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return max_linear_forest(g, budget=budget).size <= k - 1
+    nu = matching_number(g).size
+    if nu >= k:
+        return False
+    if 2 * nu <= k - 1:
+        return True
+    return _ForestSearch(g, budget, k).run() < k
 
 
 # -- maximum matching ------------------------------------------------------
@@ -346,23 +375,20 @@ def _connected_components_bound(k: int, delta: int) -> int:
     return max(3 * k - 1, 2)
 
 
-def _class_choices(classes: list[list[int]], total_max: int):
-    """Yield neighbor masks choosing 0..|class| lowest members per twin class,
-    at least one vertex overall and at most total_max."""
-
-    def rec(idx: int, left: int, mask: int):
-        if idx == len(classes):
-            if mask:
-                yield mask
-            return
-        cls = classes[idx]
-        for take in range(0, min(len(cls), left) + 1):
-            add = 0
-            for v in cls[:take]:
-                add |= 1 << v
-            yield from rec(idx + 1, left - take, mask | add)
-
-    yield from rec(0, total_max, 0)
+def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int = 0):
+    """Yield neighbor masks choosing 0..|class| lowest members per twin class
+    from classes[idx:], added to mask: nonzero masks of at most left more
+    vertices."""
+    if idx == len(classes):
+        if mask:
+            yield mask
+        return
+    cls = classes[idx]
+    for take in range(0, min(len(cls), left) + 1):
+        add = 0
+        for v in cls[:take]:
+            add |= 1 << v
+        yield from _class_choices(classes, left - take, idx + 1, mask | add)
 
 
 def _enumerate_components(k: int, delta: int, budget: int):
@@ -413,7 +439,7 @@ def _enumerate_components(k: int, delta: int, budget: int):
                         f"component enumeration exceeded {budget} graphs"
                     )
                 child = Graph(size, rows)
-                if max_linear_forest(child, budget=budget).size > k:
+                if not is_lk_free(child, k + 1, budget=budget):
                     continue
                 nxt[key] = rows
                 yield child

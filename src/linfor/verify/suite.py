@@ -15,7 +15,7 @@ import random
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
-from ..forests import DEFAULT_BUDGET, matching_number, max_linear_forest
+from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .stability import (
     EMBED_BUDGET,
@@ -134,7 +134,7 @@ def stability_suite(
         cands = _forbidden_edges(host, p, rng)
         for u, v in cands:
             g3 = host.with_edge(u, v)
-            if max_linear_forest(g3, budget=budget).size >= k:
+            if not is_lk_free(g3, k, budget=budget):
                 perturb_ok += 1
                 continue
             rep3 = classify_stability(g3, k, 2, 0, budget=embed_budget)

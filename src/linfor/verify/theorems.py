@@ -14,7 +14,7 @@ import numpy as np
 
 from ..cliques import count_cliques
 from ..constructions import h_r
-from ..forests import matching_number, max_linear_forest
+from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
 from .profile import graph_profiles
@@ -151,10 +151,12 @@ def brute_ex_matching(
 # -- slow reference paths ---------------------------------------------------
 
 
-def _lk_free_mindeg(g: Graph, k: int, d: int | None) -> bool:
+def _lk_free_mindeg(
+    g: Graph, k: int, d: int | None, budget: int = DEFAULT_BUDGET
+) -> bool:
     if d is not None and any(g.degree(v) < d for v in range(g.n)):
         return False
-    return max_linear_forest(g).size <= k - 1
+    return is_lk_free(g, k, budget=budget)
 
 
 def _matching_mindeg(g: Graph, k: int, d: int | None) -> bool:
@@ -187,17 +189,19 @@ def check_input_graph(
     k: int,
     r: int,
     d: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> TheoremReport:
     """Check one externally supplied graph against a theorem's bound.
 
     A graph that fails the theorem's hypothesis yields a passing row with an
-    explanatory note (the claim is vacuous for it).
+    explanatory note (the claim is vacuous for it).  ``budget`` caps the
+    states of the L_k-freeness search; past it BudgetExceeded is raised.
     """
     n = g.n
     if theorem in ("theorem1", "theorem2", "theorem3"):
         half = (k - 1) // 2
         formula = max(h_r(n, k, d or 0, r), h_r(n, k, half, r))
-        hyp = _lk_free_mindeg(g, k, d)
+        hyp = _lk_free_mindeg(g, k, d, budget)
         hyp_name = "L_k-free" if d is None else f"L_k-free with min degree {d}"
     elif theorem in ("theorem5", "theorem6"):
         formula = max(h_r(n, 2 * k + 1, d or 0, r), h_r(n, 2 * k + 1, k, r))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,21 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert len(doc["reports"]) == 2
+
+    def test_input_graph_mode_honours_budget(self, capsys, tmp_path):
+        # K_4 is L_4-free, and nu = 2 <= lf = 3 <= 2 nu leaves it to the search
+        src = tmp_path / "k4.g6"
+        src.write_text("C~\n")
+        argv = ("verify", "theorem1", "--in", str(src), "--k", "4")
+        code, out, err = run(capsys, *argv, "--budget", "1")
+        assert code == 2
+        assert "budget of 1 states" in err
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # the report as printed before the freeness check became a decision
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "69ad3bca3a6b863830b7478fc1aa8467bf3397c7822593869b8a41e85500b636"
+        )
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

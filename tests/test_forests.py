@@ -1,5 +1,7 @@
 """Linear-forest and matching oracles, and the bounded-degree extremal counts."""
 
+import gc
+import hashlib
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from linfor import (
     ConstructionParams,
     Graph,
     build_host,
+    count_cliques,
     disjoint_union,
     g_extremal,
     is_linear_forest,
@@ -16,8 +19,18 @@ from linfor import (
     matching_number,
     max_linear_forest,
 )
+from linfor.verify import graph_profiles
+from linfor.verify.stability import listed_hosts
 
 from .oracles import lf_edge_subsets, lf_subset_dp, matching_subset_dp
+
+# sha256 of repr([(size, witness), ...]) over the graphs of
+# test_witnesses_match_pinned_digests, captured when the witness was rebuilt
+# by replaying the search's transitions instead of following stored moves
+PINNED_WITNESS_DIGESTS = {
+    "random": "406fb8f1a01202d2779c3be0d23e771ab1b0e07993eaab58d368e6c391dd0a10",
+    "hosts": "da48afabbf03f51885caae9cee40276527b8cb5aaf9715652ba011247b568b3c",
+}
 
 
 def random_graph(n, rng, p=0.5):
@@ -62,13 +75,29 @@ class TestMaxLinearForest:
             g = random_graph(8, rng)
             assert max_linear_forest(g).witness == max_linear_forest(g).witness
 
+    def test_witnesses_match_pinned_digests(self):
+        rng = random.Random(61)
+        graphs = {
+            "random": [
+                random_graph(rng.randint(0, 12), rng, rng.random()) for _ in range(150)
+            ],
+            "hosts": [
+                build_host(p) for k in range(5, 10) for p in listed_hosts(24, k)
+            ],
+        }
+        got = {}
+        for name, gs in graphs.items():
+            res = [(r.size, r.witness) for r in map(max_linear_forest, gs)]
+            got[name] = hashlib.sha256(repr(res).encode()).hexdigest()
+        assert got == PINNED_WITNESS_DIGESTS
+
     def test_large_symmetric_hosts_within_default_budget(self):
         host = build_host(ConstructionParams(40, 9, 4))
         assert max_linear_forest(host).size == 8
 
     def test_budget_exceeded_is_distinct(self):
         g = random_graph(16, random.Random(2), 0.6)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="budget of 50 states"):
             max_linear_forest(g, budget=50)
 
     def test_additive_over_disjoint_union(self):
@@ -100,11 +129,61 @@ class TestIsLkFree:
             nu = matching_number(g).size
             assert is_lk_free(g, 2 * nu + 1)
 
+    def test_matches_profile_table_exhaustive(self):
+        # the profile's lf comes from its own edge-addition search
+        for n in range(6):
+            prof = graph_profiles(n)
+            for mask in range(prof.count):
+                g = Graph.from_edge_mask(n, mask)
+                for k in range(1, n + 2):
+                    assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
+
+    def test_matches_profile_table_sampled(self):
+        rng = random.Random(67)
+        for n in (6, 7):
+            prof = graph_profiles(n)
+            for mask in rng.sample(range(prof.count), 400):
+                g = Graph.from_edge_mask(n, mask)
+                for k in range(1, n + 1):
+                    assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
+
+    def test_budget_exceeded_when_bracket_leaves_it_open(self):
+        # K_4: nu = 2 <= lf = 3 <= 2 nu = 4, so k = 4 needs the search
+        g = Graph.complete(4)
+        assert is_lk_free(g, 4)
+        with pytest.raises(BudgetExceeded, match="k = 4 exceeded its budget of 1 states"):
+            is_lk_free(g, 4, budget=1)
+
     def test_forest_at_least_matching(self):
         rng = random.Random(43)
         for _ in range(200):
             g = random_graph(rng.randint(1, 8), rng, rng.random())
             assert max_linear_forest(g).size >= matching_number(g).size
+
+
+def _sample_graph():
+    return random_graph(11, random.Random(3), 0.4)
+
+
+NO_CYCLE_CALLS = {
+    "max_linear_forest": lambda: max_linear_forest(_sample_graph()),
+    "is_lk_free": lambda: [is_lk_free(_sample_graph(), k) for k in range(1, 12)],
+    "is_lk_free_search": lambda: is_lk_free(Graph.complete(4), 4),
+    "count_cliques": lambda: count_cliques(_sample_graph(), 3),
+}
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("name", NO_CYCLE_CALLS)
+    def test_call_leaves_no_cycles(self, name):
+        gc.collect()
+        gc.disable()
+        try:
+            NO_CYCLE_CALLS[name]()
+        finally:
+            freed = gc.collect()
+            gc.enable()
+        assert freed == 0
 
 
 class TestMatching:

@@ -75,3 +75,9 @@ def test_closure_idempotent_and_degree_safe(g, k):
 @given(graphs(max_n=7), st.integers(min_value=1, max_value=9))
 def test_closure_preserves_forest_freeness(g, k):
     assert is_lk_free(g, k) == is_lk_free(k_closure(g, k), k)
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=10), st.integers(min_value=1, max_value=10))
+def test_freeness_decision_matches_forest_size(g, k):
+    assert is_lk_free(g, k) == (max_linear_forest(g).size <= k - 1)
