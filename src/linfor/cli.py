@@ -9,7 +9,6 @@ graph6 records and reports.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .constructions import ConstructionParams, build_host
@@ -23,13 +22,8 @@ from .verify.theorems import brute_ex, brute_ex_matching, check_input_graph
 
 THEOREMS = [f"theorem{i}" for i in range(1, 8)]
 
-
-def _default_threads() -> int:
-    env = os.environ.get("LINFOR_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+# construction-side suites: theorem -> (suite, default k)
+SUITES = {"theorem4": (stability_suite, 7), "theorem7": (matching_stability_suite, 3)}
 
 
 def _read_graphs(path: str):
@@ -86,7 +80,7 @@ def _verify_rows(args) -> list:
     theorem = args.theorem
     rows = []
     if args.input is not None:
-        if theorem in ("theorem4", "theorem7"):
+        if theorem in SUITES:
             raise ValueError("input-graph mode supports theorems 1, 2, 3, 5, 6")
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
@@ -140,25 +134,15 @@ def _verify_rows(args) -> list:
                             brute_ex_matching(n, r, k, min_degree=d,
                                               dedup=args.dedup)
                         )
-    elif theorem == "theorem4":
-        k = args.k if args.k is not None else 7
+    else:
+        suite, default_k = SUITES[theorem]
+        k = args.k if args.k is not None else default_k
         n = args.n if args.n is not None else 24
         r_values = [args.r] if args.r is not None else None
-        print(f"verify theorem4 construction-side: k={k} n={n}", file=sys.stderr)
+        print(f"verify {theorem} construction-side: k={k} n={n}", file=sys.stderr)
         rows.extend(
-            stability_suite(k, n, r_values=r_values, d=args.d,
-                            samples=args.samples, seed=args.seed,
-                            budget=args.budget)
-        )
-    elif theorem == "theorem7":
-        k = args.k if args.k is not None else 3
-        n = args.n if args.n is not None else 24
-        r_values = [args.r] if args.r is not None else None
-        print(f"verify theorem7 construction-side: k={k} n={n}", file=sys.stderr)
-        rows.extend(
-            matching_stability_suite(k, n, r_values=r_values, d=args.d,
-                                     samples=args.samples, seed=args.seed,
-                                     budget=args.budget)
+            suite(k, n, r_values=r_values, d=args.d, samples=args.samples,
+                  seed=args.seed, budget=args.budget)
         )
     return rows
 
@@ -219,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check graphs from a graph6 file instead of enumerating")
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=["json", "csv"], default="json")
-    pv.add_argument("--threads", type=int, default=_default_threads(),
+    pv.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.add_argument("--dedup", action="store_true",

@@ -52,17 +52,18 @@ class MatchingResult:
     witness: tuple[tuple[int, int], ...]
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def is_linear_forest(n: int, edges: list[tuple[int, int]]) -> bool:
     """True iff the edge list forms a disjoint union of paths on 0..n-1."""
     deg = [0] * n
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     seen = set()
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
@@ -75,7 +76,7 @@ def is_linear_forest(n: int, edges: list[tuple[int, int]]) -> bool:
         deg[v] += 1
         if deg[u] > 2 or deg[v] > 2:
             return False
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -87,29 +88,22 @@ def is_linear_forest(n: int, edges: list[tuple[int, int]]) -> bool:
 
 def _twin_classes_rows(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_false: dict[int, int] = {}
     by_true: dict[int, int] = {}
     for v in range(n):
         kf = rows[v]
         kt = rows[v] | (1 << v)
         if kf in by_false:
-            parent[find(v)] = find(by_false[kf])
+            parent[_find(parent, v)] = _find(parent, by_false[kf])
         else:
             by_false[kf] = v
         if kt in by_true:
-            parent[find(v)] = find(by_true[kt])
+            parent[_find(parent, v)] = _find(parent, by_true[kt])
         else:
             by_true[kt] = v
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda c: c[0])
 
 

@@ -311,9 +311,13 @@ def parse_graph6(text: str) -> Graph:
 
 
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
+    """Parse one record per nonblank line; errors name the 1-based line."""
     out = []
-    for line in lines:
+    for num, line in enumerate(lines, start=1):
         line = line.strip()
         if line:
-            out.append(parse_graph6(line))
+            try:
+                out.append(parse_graph6(line))
+            except Graph6Error as exc:
+                raise Graph6Error(f"line {num}: {exc}") from exc
     return out

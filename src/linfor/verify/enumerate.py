@@ -5,6 +5,11 @@ is edge p in column order (graphcore.pair_index).  Full labeled enumeration
 is capped at n = 8 (2^28 graphs).  Optional isomorphism dedup keeps only
 canonical representatives (minimum adjacency matrix), which is sound because
 every predicate verified here is isomorphism-invariant.
+
+The dedup path (``enumerate_graphs(dedup=True)``, ``theorems._oracle_max_dedup``
+and ``verify --dedup``) is slower than the profile transforms and is kept on
+purpose: it is the second oracle, sharing no code with them, that
+``test_dedup_agrees_with_array_path`` compares against.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ which keeps the search tiny on host-like inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, h_r
@@ -238,16 +239,68 @@ def matching_hosts(n: int, k: int) -> list[ConstructionParams]:
     ]
 
 
+@dataclass(frozen=True)
+class StabilityFamily:
+    """What tells theorem 4 from its matching application, theorem 7."""
+
+    kind: str  # StabilityReport.kind
+    min_k: int
+    host_k: Callable[[int], int]  # k -> forest parameter K of the hosts
+    base_a: Callable[[int], int]  # k -> a of the degree-free threshold term
+    hosts: Callable[[int, int], list[ConstructionParams]]
+    measure_nu: bool  # report the matching number
+
+    def require_k(self, k: int, what: str) -> None:
+        if k < self.min_k:
+            name = self.kind.replace("_", " ")
+            raise ValueError(f"{name} {what} needs k >= {self.min_k}")
+
+
+LK_FREE = StabilityFamily(
+    "stability", 5, lambda k: k, lambda k: (k - 5) // 2, listed_hosts, False
+)
+MATCHING = StabilityFamily(
+    "matching_stability", 2, lambda k: 2 * k + 1, lambda k: k - 2,
+    matching_hosts, True,
+)
+
+
+def family_threshold(family: StabilityFamily, n: int, k: int, r: int, d: int) -> int:
+    family.require_k(k, "threshold")
+    hk = family.host_k(k)
+    return max(h_r(n, hk, d, r), h_r(n, hk, family.base_a(k), r))
+
+
 def stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    if k < 5:
-        raise ValueError("stability threshold needs k >= 5")
-    return max(h_r(n, k, d, r), h_r(n, k, (k - 5) // 2, r))
+    return family_threshold(LK_FREE, n, k, r, d)
 
 
 def matching_stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    if k < 2:
-        raise ValueError("matching stability threshold needs k >= 2")
-    return max(h_r(n, 2 * k + 1, d, r), h_r(n, 2 * k + 1, k - 2, r))
+    return family_threshold(MATCHING, n, k, r, d)
+
+
+def classify_family(
+    family: StabilityFamily, g: Graph, k: int, r: int, d: int, budget: int
+) -> StabilityReport:
+    """Threshold test, then embedding attempts into the family's hosts."""
+    n = g.n
+    mind = min((g.degree(v) for v in range(n)), default=0)
+    if mind < d:
+        raise ValueError(f"min degree {mind} below required d = {d}")
+    nu = matching_number(g).size if family.measure_nu else None
+    nr = count_cliques(g, r)
+    threshold = family_threshold(family, n, k, r, d)
+    above = nr > threshold
+    attempts: list[tuple[ConstructionParams, EmbeddingCertificate | None]] = []
+    if above:
+        for p in family.hosts(n, k):
+            attempts.append((p, embeds_in_host(g, p, budget=budget)))
+    hk = family.host_k(k)
+    return StabilityReport(
+        family.kind, n, k, r, d, nr, threshold, above,
+        n > hk**5, threshold == h_r(n, hk, d, r),
+        mind, nu, tuple(attempts),
+    )
 
 
 def classify_stability(
@@ -259,22 +312,7 @@ def classify_stability(
     min degree is rechecked).  The asymptotic-size hypothesis is reported,
     not enforced, since desk-scale runs intentionally sit below it.
     """
-    n = g.n
-    mind = min((g.degree(v) for v in range(n)), default=0)
-    if mind < d:
-        raise ValueError(f"min degree {mind} below required d = {d}")
-    nr = count_cliques(g, r)
-    threshold = stability_threshold(n, k, r, d)
-    above = nr > threshold
-    attempts: list[tuple[ConstructionParams, EmbeddingCertificate | None]] = []
-    if above:
-        for p in listed_hosts(n, k):
-            attempts.append((p, embeds_in_host(g, p, budget=budget)))
-    return StabilityReport(
-        "stability", n, k, r, d, nr, threshold, above,
-        n > k**5, h_r(n, k, d, r) >= h_r(n, k, (k - 5) // 2, r),
-        mind, None, tuple(attempts),
-    )
+    return classify_family(LK_FREE, g, k, r, d, budget)
 
 
 def classify_matching_stability(
@@ -286,21 +324,4 @@ def classify_matching_stability(
     outside the theorem's hypothesis, so no conclusion is claimed for it
     (the threshold and attempts are still reported for inspection).
     """
-    n = g.n
-    mind = min((g.degree(v) for v in range(n)), default=0)
-    if mind < d:
-        raise ValueError(f"min degree {mind} below required d = {d}")
-    nu = matching_number(g).size
-    nr = count_cliques(g, r)
-    threshold = matching_stability_threshold(n, k, r, d)
-    above = nr > threshold
-    attempts: list[tuple[ConstructionParams, EmbeddingCertificate | None]] = []
-    if above:
-        for p in matching_hosts(n, k):
-            attempts.append((p, embeds_in_host(g, p, budget=budget)))
-    return StabilityReport(
-        "matching_stability", n, k, r, d, nr, threshold, above,
-        n > (2 * k + 1) ** 5,
-        h_r(n, 2 * k + 1, d, r) >= h_r(n, 2 * k + 1, k - 2, r),
-        mind, nu, tuple(attempts),
-    )
+    return classify_family(MATCHING, g, k, r, d, budget)

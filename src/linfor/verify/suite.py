@@ -12,6 +12,8 @@ rows are deterministic.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
@@ -19,12 +21,13 @@ from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_fo
 from ..graphcore import Graph, to_graph6
 from .stability import (
     EMBED_BUDGET,
+    LK_FREE,
+    MATCHING,
+    StabilityFamily,
+    StabilityReport,
     classify_matching_stability,
     classify_stability,
-    listed_hosts,
-    matching_hosts,
-    matching_stability_threshold,
-    stability_threshold,
+    family_threshold,
 )
 from .theorems import TheoremReport
 
@@ -73,6 +76,110 @@ def _delete_random_edges(host: Graph, rng: random.Random) -> Graph:
     return g
 
 
+@dataclass(frozen=True)
+class SuiteSpec:
+    """The suite side of a stability family.  The callables look linfor's
+    functions up by module name when called, so patched names see the calls."""
+
+    family: StabilityFamily
+    theorem: str
+    classify: Callable[..., StabilityReport]  # (g, k, r, d, budget)
+    bound: Callable[[Graph, int, int], tuple[int, int]]  # (host, k, budget)
+    bound_note: str
+    breaks: Callable[[Graph, int, int], bool]  # (g, k, budget): hypothesis fails
+    breaks_note: str
+
+
+THEOREM4 = SuiteSpec(
+    LK_FREE, "theorem4",
+    lambda g, k, r, d, budget: classify_stability(g, k, r, d, budget),
+    lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
+    "exact max linear forest <= k-1",
+    lambda g, k, budget: not is_lk_free(g, k, budget=budget),
+    "freeness",
+)
+THEOREM7 = SuiteSpec(
+    MATCHING, "theorem7",
+    lambda g, k, r, d, budget: classify_matching_stability(g, k, r, d, budget),
+    lambda host, k, budget: (k, matching_number(host).size),
+    "matching number <= k",
+    lambda g, k, budget: matching_number(g).size > k,
+    "matching bound",
+)
+
+
+def _run_suite(
+    spec: SuiteSpec,
+    k: int,
+    n: int,
+    r_values: list[int] | None,
+    d: int | None,
+    samples: int,
+    seed: int,
+    budget: int,
+    embed_budget: int,
+) -> list[TheoremReport]:
+    family, theorem = spec.family, spec.theorem
+    family.require_k(k, "suite")
+    if r_values is None:
+        r_values = list(range(2, (family.host_k(k) - 3) // 2 + 1))
+    dd = family.base_a(k) if d is None else d
+    rng = random.Random(seed)
+    rows: list[TheoremReport] = []
+
+    def certifies(g: Graph, d: int) -> int:
+        rep = spec.classify(g, k, 2, d, embed_budget)
+        return int(rep.above_threshold and rep.embedded)
+
+    for p in family.hosts(n, k):
+        label = host_label(p)
+        host = build_host(p)
+        rows.append(
+            TheoremReport(
+                theorem, n, k, 0, dd, "bound", *spec.bound(host, k, budget),
+                (to_graph6(host),) if n <= 62 else (),
+                note=f"{label}: {spec.bound_note}",
+            )
+        )
+        for r in r_values:
+            nr = count_cliques(host, r)
+            thr = family_threshold(family, n, k, r, dd)
+            rows.append(
+                TheoremReport(
+                    theorem, n, k, r, dd, "exceeds", thr, nr,
+                    note=f"{label}: clique count exceeds threshold",
+                )
+            )
+        rows.append(
+            TheoremReport(
+                theorem, n, k, 2, dd, "equality", 1, certifies(host, dd),
+                note=f"{label}: host certifies by embedding",
+            )
+        )
+        ok = sum(certifies(_delete_random_edges(host, rng), 0) for _ in range(samples))
+        rows.append(
+            TheoremReport(
+                theorem, n, k, 2, 0, "equality", samples, ok,
+                note=f"{label}: random proper subgraphs certify",
+            )
+        )
+        perturb_ok = 0
+        cands = _forbidden_edges(host, p, rng)
+        for u, v in cands:
+            g3 = host.with_edge(u, v)
+            perturb_ok += 1 if spec.breaks(g3, k, budget) else certifies(g3, 0)
+        rows.append(
+            TheoremReport(
+                theorem, n, k, 2, 0, "equality", len(cands), perturb_ok,
+                note=(
+                    f"{label}: forbidden edge breaks {spec.breaks_note}"
+                    " or still certifies"
+                ),
+            )
+        )
+    return rows
+
+
 def stability_suite(
     k: int,
     n: int,
@@ -84,68 +191,7 @@ def stability_suite(
     embed_budget: int = EMBED_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the stability classification at (k, n)."""
-    if k < 5:
-        raise ValueError("stability suite needs k >= 5")
-    if r_values is None:
-        r_values = list(range(2, (k - 3) // 2 + 1))
-    dd = (k - 5) // 2 if d is None else d
-    rng = random.Random(seed)
-    rows: list[TheoremReport] = []
-    for p in listed_hosts(n, k):
-        label = host_label(p)
-        host = build_host(p)
-        lf = max_linear_forest(host, budget=budget).size
-        rows.append(
-            TheoremReport(
-                "theorem4", n, k, 0, dd, "bound", k - 1, lf,
-                (to_graph6(host),) if n <= 62 else (),
-                note=f"{label}: exact max linear forest <= k-1",
-            )
-        )
-        for r in r_values:
-            nr = count_cliques(host, r)
-            thr = stability_threshold(n, k, r, dd)
-            rows.append(
-                TheoremReport(
-                    "theorem4", n, k, r, dd, "exceeds", thr, nr,
-                    note=f"{label}: clique count exceeds threshold",
-                )
-            )
-        rep = classify_stability(host, k, 2, dd, budget=embed_budget)
-        rows.append(
-            TheoremReport(
-                "theorem4", n, k, 2, dd, "equality", 1,
-                int(rep.above_threshold and rep.embedded),
-                note=f"{label}: host certifies by embedding",
-            )
-        )
-        ok = 0
-        for _ in range(samples):
-            g2 = _delete_random_edges(host, rng)
-            rep2 = classify_stability(g2, k, 2, 0, budget=embed_budget)
-            ok += int(rep2.above_threshold and rep2.embedded)
-        rows.append(
-            TheoremReport(
-                "theorem4", n, k, 2, 0, "equality", samples, ok,
-                note=f"{label}: random proper subgraphs certify",
-            )
-        )
-        perturb_ok = 0
-        cands = _forbidden_edges(host, p, rng)
-        for u, v in cands:
-            g3 = host.with_edge(u, v)
-            if not is_lk_free(g3, k, budget=budget):
-                perturb_ok += 1
-                continue
-            rep3 = classify_stability(g3, k, 2, 0, budget=embed_budget)
-            perturb_ok += int(rep3.above_threshold and rep3.embedded)
-        rows.append(
-            TheoremReport(
-                "theorem4", n, k, 2, 0, "equality", len(cands), perturb_ok,
-                note=f"{label}: forbidden edge breaks freeness or still certifies",
-            )
-        )
-    return rows
+    return _run_suite(THEOREM4, k, n, r_values, d, samples, seed, budget, embed_budget)
 
 
 def matching_stability_suite(
@@ -159,65 +205,4 @@ def matching_stability_suite(
     embed_budget: int = EMBED_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the matching stability result at (k, n)."""
-    if k < 2:
-        raise ValueError("matching stability suite needs k >= 2")
-    if r_values is None:
-        r_values = list(range(2, k))
-    dd = k - 2 if d is None else d
-    rng = random.Random(seed)
-    rows: list[TheoremReport] = []
-    for p in matching_hosts(n, k):
-        label = host_label(p)
-        host = build_host(p)
-        nu = matching_number(host).size
-        rows.append(
-            TheoremReport(
-                "theorem7", n, k, 0, dd, "bound", k, nu,
-                (to_graph6(host),) if n <= 62 else (),
-                note=f"{label}: matching number <= k",
-            )
-        )
-        for r in r_values:
-            nr = count_cliques(host, r)
-            thr = matching_stability_threshold(n, k, r, dd)
-            rows.append(
-                TheoremReport(
-                    "theorem7", n, k, r, dd, "exceeds", thr, nr,
-                    note=f"{label}: clique count exceeds threshold",
-                )
-            )
-        rep = classify_matching_stability(host, k, 2, dd, budget=embed_budget)
-        rows.append(
-            TheoremReport(
-                "theorem7", n, k, 2, dd, "equality", 1,
-                int(rep.above_threshold and rep.embedded),
-                note=f"{label}: host certifies by embedding",
-            )
-        )
-        ok = 0
-        for _ in range(samples):
-            g2 = _delete_random_edges(host, rng)
-            rep2 = classify_matching_stability(g2, k, 2, 0, budget=embed_budget)
-            ok += int(rep2.above_threshold and rep2.embedded)
-        rows.append(
-            TheoremReport(
-                "theorem7", n, k, 2, 0, "equality", samples, ok,
-                note=f"{label}: random proper subgraphs certify",
-            )
-        )
-        perturb_ok = 0
-        cands = _forbidden_edges(host, p, rng)
-        for u, v in cands:
-            g3 = host.with_edge(u, v)
-            if matching_number(g3).size > k:
-                perturb_ok += 1
-                continue
-            rep3 = classify_matching_stability(g3, k, 2, 0, budget=embed_budget)
-            perturb_ok += int(rep3.above_threshold and rep3.embedded)
-        rows.append(
-            TheoremReport(
-                "theorem7", n, k, 2, 0, "equality", len(cands), perturb_ok,
-                note=f"{label}: forbidden edge breaks matching bound or still certifies",
-            )
-        )
-    return rows
+    return _run_suite(THEOREM7, k, n, r_values, d, samples, seed, budget, embed_budget)

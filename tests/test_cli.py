@@ -56,6 +56,19 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--in", str(src), "--r", "2")
         assert code == 2
 
+    def test_parse_failure_names_physical_line(self, capsys, tmp_path):
+        src = tmp_path / "bad.g6"
+        src.write_text("C~\n\nC~\x07\nC~\n")  # blank line 2 still counts
+        for argv in (
+            ("count", "--in", str(src), "--r", "2"),
+            ("transform", "closure", "--in", str(src), "--k", "4"),
+            ("verify", "theorem1", "--in", str(src), "--k", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "error: line 3: " in err
+
 
 class TestTransform:
     def test_closure(self, capsys, tmp_path):
@@ -174,11 +187,12 @@ class TestVerify:
         assert exc.value.code == 2
 
 
-class TestThreadsEnvFallback:
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.setenv("LINFOR_THREADS", "3")
-        from linfor.cli import _default_threads
+class TestThreads:
+    def test_env_ignored_and_zero_rejected(self, capsys, monkeypatch):
+        from linfor.cli import build_parser
 
-        assert _default_threads() == 3
-        monkeypatch.setenv("LINFOR_THREADS", "junk")
-        assert _default_threads() == 1
+        monkeypatch.setenv("LINFOR_THREADS", "3")
+        assert build_parser().parse_args(["verify", "theorem1"]).threads == 1
+        code, _, err = run(capsys, "verify", "theorem1", "--n", "3", "--threads", "0")
+        assert code == 2
+        assert "--threads must be at least 1" in err

@@ -11,6 +11,7 @@ from linfor import (
     ConstructionParams,
     Graph,
     build_host,
+    canonical_graph,
     count_cliques,
     disjoint_union,
     g_extremal,
@@ -19,6 +20,7 @@ from linfor import (
     matching_number,
     max_linear_forest,
 )
+from linfor.canon import refined_canonical_key
 from linfor.verify import graph_profiles
 from linfor.verify.stability import listed_hosts
 
@@ -170,6 +172,9 @@ NO_CYCLE_CALLS = {
     "is_lk_free": lambda: [is_lk_free(_sample_graph(), k) for k in range(1, 12)],
     "is_lk_free_search": lambda: is_lk_free(Graph.complete(4), 4),
     "count_cliques": lambda: count_cliques(_sample_graph(), 3),
+    "canonical_graph": lambda: canonical_graph(_sample_graph()),
+    "refined_canonical_key": lambda: refined_canonical_key(11, _sample_graph().adj),
+    "g_extremal": lambda: g_extremal(3, 3),
 }
 
 
