@@ -18,20 +18,31 @@ from .graphcore import Graph6Error, read_graph6_lines, to_graph6
 from .transforms import core, k_closure
 from .verify.reports import reports_csv, reports_json
 from .verify.suite import matching_stability_suite, stability_suite
-from .verify.theorems import brute_ex, brute_ex_matching, check_input_graph
+from .verify.theorems import MATCHING, ORACLE_THEOREMS, check_input_graph, family_report
 
 THEOREMS = [f"theorem{i}" for i in range(1, 8)]
 
+# exhaustive oracles: theorem -> (default r, default max n)
+ORACLE_DEFAULTS = {
+    "theorem1": (2, 6),
+    "theorem2": (3, 6),
+    "theorem3": (2, 6),
+    "theorem5": (2, 7),
+    "theorem6": (3, 7),
+}
 # construction-side suites: theorem -> (suite, default k)
 SUITES = {"theorem4": (stability_suite, 7), "theorem7": (matching_stability_suite, 3)}
 
 
 def _read_graphs(path: str):
+    # bytes.splitlines breaks only at \n, \r and \r\n, so line numbers are
+    # physical ones; a byte that is not ASCII is left for the parser to reject
     if path == "-":
-        lines = sys.stdin.read().splitlines()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    lines = [line.decode("ascii", errors="replace") for line in data.splitlines()]
     graphs = read_graph6_lines(lines)
     if not graphs:
         raise ValueError("no graph6 records in input")
@@ -80,8 +91,6 @@ def _verify_rows(args) -> list:
     theorem = args.theorem
     rows = []
     if args.input is not None:
-        if theorem in SUITES:
-            raise ValueError("input-graph mode supports theorems 1, 2, 3, 5, 6")
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
         r = args.r if args.r is not None else 2
@@ -91,49 +100,24 @@ def _verify_rows(args) -> list:
             )
         return rows
 
-    if theorem in ("theorem1", "theorem2"):
-        n_max = args.n if args.n is not None else 6
-        r = 2 if theorem == "theorem1" else (args.r if args.r is not None else 3)
-        for n in range(max(3, r), n_max + 1):
-            ks = [args.k] if args.k is not None else range(1, n)
-            for k in ks:
-                print(f"verify {theorem}: n={n} k={k} r={r}", file=sys.stderr)
-                rows.append(brute_ex(n, r, k, dedup=args.dedup))
-    elif theorem == "theorem3":
-        n_max = args.n if args.n is not None else 6
-        r = args.r if args.r is not None else 2
-        for n in range(3, n_max + 1):
-            ks = [args.k] if args.k is not None else range(2, n)
-            for k in ks:
-                ds = [args.d] if args.d is not None else range(0, (k - 1) // 2 + 1)
-                for d in ds:
-                    print(f"verify theorem3: n={n} k={k} r={r} d={d}", file=sys.stderr)
-                    rows.append(
-                        brute_ex(n, r, k, min_degree=d, dedup=args.dedup)
-                    )
-    elif theorem in ("theorem5", "theorem6"):
-        n_max = args.n if args.n is not None else 7
-        k_max = args.k if args.k is not None else 2
-        r = 2 if theorem == "theorem5" else (args.r if args.r is not None else 3)
-        for k in range(1, k_max + 1):
-            lo = 2 * k + 1 if theorem == "theorem5" else 2 * k + 2
-            for n in range(lo, n_max + 1):
-                if theorem == "theorem5":
-                    print(f"verify theorem5: n={n} k={k}", file=sys.stderr)
-                    rows.append(
-                        brute_ex_matching(n, 2, k, dedup=args.dedup)
-                    )
-                else:
-                    ds = [args.d] if args.d is not None else range(0, k + 1)
-                    for d in ds:
-                        print(
-                            f"verify theorem6: n={n} k={k} r={r} d={d}",
-                            file=sys.stderr,
-                        )
-                        rows.append(
-                            brute_ex_matching(n, r, k, min_degree=d,
-                                              dedup=args.dedup)
-                        )
+    if theorem in ORACLE_THEOREMS:
+        family, _, any_r, with_d = ORACLE_THEOREMS[theorem]
+        r_default, n_default = ORACLE_DEFAULTS[theorem]
+        r = args.r if any_r and args.r is not None else r_default
+        n_max = args.n if args.n is not None else n_default
+        if family is MATCHING:  # k-major, and --k is the largest k
+            k_max = args.k if args.k is not None else 2
+            grid = [(n, k) for k in range(1, k_max + 1)
+                    for n in range(family.forest_k(k) + with_d, n_max + 1)]
+        else:  # n-major, and --k fixes k
+            grid = [(n, k) for n in range(3 if with_d else max(3, r), n_max + 1)
+                    for k in ([args.k] if args.k is not None else range(1 + with_d, n))]
+        for n, k in grid:
+            ds = [args.d] if args.d is not None else range(family.max_d(k) + 1)
+            for d in ds if with_d else [None]:
+                at = f"n={n} k={k} r={r}" + ("" if d is None else f" d={d}")
+                print(f"verify {theorem}: {at}", file=sys.stderr)
+                rows.append(family_report(family, n, r, k, d, dedup=args.dedup))
     else:
         suite, default_k = SUITES[theorem]
         k = args.k if args.k is not None else default_k

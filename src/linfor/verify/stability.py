@@ -18,6 +18,7 @@ from ..cliques import count_cliques
 from ..constructions import ConstructionParams, h_r
 from ..forests import BudgetExceeded, matching_number, twin_classes
 from ..graphcore import Graph, iter_bits
+from .theorems import LK_FREE, MATCHING, Family
 
 EMBED_BUDGET = 200_000
 
@@ -131,6 +132,23 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     return cert
 
 
+def _a_sets(classes: list[list[int]], idx: int, remaining: int, amask: int):
+    """A-sets filling the remaining slots from classes[idx:], taking the most
+    vertices of each class first."""
+    if remaining == 0:
+        yield amask
+        return
+    if idx == len(classes):
+        return
+    rest_avail = sum(len(c) for c in classes[idx + 1 :])
+    lo = max(0, remaining - rest_avail)
+    for take in range(min(len(classes[idx]), remaining), lo - 1, -1):
+        mask = amask
+        for v in classes[idx][:take]:
+            mask |= 1 << v
+        yield from _a_sets(classes, idx + 1, remaining - take, mask)
+
+
 def embeds_in_host(
     g: Graph, p: ConstructionParams, budget: int = EMBED_BUDGET
 ) -> EmbeddingCertificate | None:
@@ -157,30 +175,13 @@ def embeds_in_host(
         [v for v in cls if not forced >> v & 1] for cls in twin_classes(g)
     ]
     pool_classes = [cls for cls in pool_classes if cls]
-    attempts = 0
-
-    def search(idx: int, remaining: int, amask: int):
-        nonlocal attempts
-        if remaining == 0:
-            attempts += 1
-            if attempts > budget:
-                raise BudgetExceeded(f"embedding search exceeded {budget} attempts")
-            return _try_assignment(g, p, amask)
-        if idx == len(pool_classes):
-            return None
-        avail = len(pool_classes[idx])
-        rest_avail = sum(len(c) for c in pool_classes[idx + 1 :])
-        lo = max(0, remaining - rest_avail)
-        for take in range(min(avail, remaining), lo - 1, -1):
-            mask = amask
-            for v in pool_classes[idx][:take]:
-                mask |= 1 << v
-            cert = search(idx + 1, remaining - take, mask)
-            if cert is not None:
-                return cert
-        return None
-
-    return search(0, need, forced)
+    for attempts, amask in enumerate(_a_sets(pool_classes, 0, need, forced), 1):
+        if attempts > budget:
+            raise BudgetExceeded(f"embedding search exceeded {budget} attempts")
+        cert = _try_assignment(g, p, amask)
+        if cert is not None:
+            return cert
+    return None
 
 
 # -- stability classification ----------------------------------------------
@@ -245,8 +246,7 @@ class StabilityFamily:
 
     kind: str  # StabilityReport.kind
     min_k: int
-    host_k: Callable[[int], int]  # k -> forest parameter K of the hosts
-    base_a: Callable[[int], int]  # k -> a of the degree-free threshold term
+    base: Family  # the hypothesis family, hence the forest parameter K
     hosts: Callable[[int, int], list[ConstructionParams]]
     measure_nu: bool  # report the matching number
 
@@ -256,27 +256,23 @@ class StabilityFamily:
             raise ValueError(f"{name} {what} needs k >= {self.min_k}")
 
 
-LK_FREE = StabilityFamily(
-    "stability", 5, lambda k: k, lambda k: (k - 5) // 2, listed_hosts, False
-)
-MATCHING = StabilityFamily(
-    "matching_stability", 2, lambda k: 2 * k + 1, lambda k: k - 2,
-    matching_hosts, True,
+STABILITY = StabilityFamily("stability", 5, LK_FREE, listed_hosts, False)
+MATCHING_STABILITY = StabilityFamily(
+    "matching_stability", 2, MATCHING, matching_hosts, True
 )
 
 
 def family_threshold(family: StabilityFamily, n: int, k: int, r: int, d: int) -> int:
     family.require_k(k, "threshold")
-    hk = family.host_k(k)
-    return max(h_r(n, hk, d, r), h_r(n, hk, family.base_a(k), r))
+    return family.base.formula(n, k, r, d, family.base.stability_a(k))
 
 
 def stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    return family_threshold(LK_FREE, n, k, r, d)
+    return family_threshold(STABILITY, n, k, r, d)
 
 
 def matching_stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    return family_threshold(MATCHING, n, k, r, d)
+    return family_threshold(MATCHING_STABILITY, n, k, r, d)
 
 
 def classify_family(
@@ -295,7 +291,7 @@ def classify_family(
     if above:
         for p in family.hosts(n, k):
             attempts.append((p, embeds_in_host(g, p, budget=budget)))
-    hk = family.host_k(k)
+    hk = family.base.forest_k(k)
     return StabilityReport(
         family.kind, n, k, r, d, nr, threshold, above,
         n > hk**5, threshold == h_r(n, hk, d, r),
@@ -312,7 +308,7 @@ def classify_stability(
     min degree is rechecked).  The asymptotic-size hypothesis is reported,
     not enforced, since desk-scale runs intentionally sit below it.
     """
-    return classify_family(LK_FREE, g, k, r, d, budget)
+    return classify_family(STABILITY, g, k, r, d, budget)
 
 
 def classify_matching_stability(
@@ -324,4 +320,4 @@ def classify_matching_stability(
     outside the theorem's hypothesis, so no conclusion is claimed for it
     (the threshold and attempts are still reported for inspection).
     """
-    return classify_family(MATCHING, g, k, r, d, budget)
+    return classify_family(MATCHING_STABILITY, g, k, r, d, budget)

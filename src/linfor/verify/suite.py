@@ -17,12 +17,12 @@ from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
-from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
+from ..forests import DEFAULT_BUDGET, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .stability import (
     EMBED_BUDGET,
-    LK_FREE,
-    MATCHING,
+    MATCHING_STABILITY,
+    STABILITY,
     StabilityFamily,
     StabilityReport,
     classify_matching_stability,
@@ -86,24 +86,21 @@ class SuiteSpec:
     classify: Callable[..., StabilityReport]  # (g, k, r, d, budget)
     bound: Callable[[Graph, int, int], tuple[int, int]]  # (host, k, budget)
     bound_note: str
-    breaks: Callable[[Graph, int, int], bool]  # (g, k, budget): hypothesis fails
     breaks_note: str
 
 
 THEOREM4 = SuiteSpec(
-    LK_FREE, "theorem4",
+    STABILITY, "theorem4",
     lambda g, k, r, d, budget: classify_stability(g, k, r, d, budget),
     lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
     "exact max linear forest <= k-1",
-    lambda g, k, budget: not is_lk_free(g, k, budget=budget),
     "freeness",
 )
 THEOREM7 = SuiteSpec(
-    MATCHING, "theorem7",
+    MATCHING_STABILITY, "theorem7",
     lambda g, k, r, d, budget: classify_matching_stability(g, k, r, d, budget),
     lambda host, k, budget: (k, matching_number(host).size),
     "matching number <= k",
-    lambda g, k, budget: matching_number(g).size > k,
     "matching bound",
 )
 
@@ -122,8 +119,8 @@ def _run_suite(
     family, theorem = spec.family, spec.theorem
     family.require_k(k, "suite")
     if r_values is None:
-        r_values = list(range(2, (family.host_k(k) - 3) // 2 + 1))
-    dd = family.base_a(k) if d is None else d
+        r_values = list(range(2, (family.base.forest_k(k) - 3) // 2 + 1))
+    dd = family.base.stability_a(k) if d is None else d
     rng = random.Random(seed)
     rows: list[TheoremReport] = []
 
@@ -167,7 +164,8 @@ def _run_suite(
         cands = _forbidden_edges(host, p, rng)
         for u, v in cands:
             g3 = host.with_edge(u, v)
-            perturb_ok += 1 if spec.breaks(g3, k, budget) else certifies(g3, 0)
+            kept = family.base.contains(g3, k, None, budget)
+            perturb_ok += certifies(g3, 0) if kept else 1
         rows.append(
             TheoremReport(
                 theorem, n, k, 2, 0, "equality", len(cands), perturb_ok,

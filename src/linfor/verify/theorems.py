@@ -9,6 +9,7 @@ deterministic: graphs are scanned in ascending edge-mask order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from ..constructions import h_r
 from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import graph_profiles
+from .profile import GraphProfiles, graph_profiles
 
 WITNESS_CAP = 16
 
@@ -66,6 +67,98 @@ def _oracle_max(prof, r, elig, d):
     return best, _witness_strings(prof.n, np.flatnonzero(hits)[:WITNESS_CAP])
 
 
+@dataclass(frozen=True)
+class Family:
+    """One hypothesis family of the extremal results: the matching results
+    are the L_K-free ones at K = 2k + 1, since matching number <= k rules out
+    a linear forest of 2k + 1 edges.  All else is derived from K.  The graph
+    tests look linfor's functions up in this module when called, so names
+    patched here see the calls.
+    """
+
+    forest_k: Callable[[int], int]  # k -> K
+    profile_test: Callable[[GraphProfiles, int], np.ndarray]  # (prof, k) -> mask
+    graph_test: Callable[[Graph, int, int], bool]  # (g, k, budget)
+    hypothesis: str  # for vacuous notes; {k} stands for k
+
+    def max_d(self, k: int) -> int:
+        return (self.forest_k(k) - 1) // 2
+
+    def stability_a(self, k: int) -> int:
+        """a of the stability threshold's degree-free term: floor((K-5)/2)."""
+        return (self.forest_k(k) - 5) // 2
+
+    def formula(self, n: int, k: int, r: int, d: int | None, a: int | None = None):
+        """max(h_r(n, K, d), h_r(n, K, a)); a is floor((K-1)/2) unless given."""
+        hk, a = self.forest_k(k), self.max_d(k) if a is None else a
+        return max(h_r(n, hk, d or 0, r), h_r(n, hk, a, r))
+
+    def contains(self, g: Graph, k: int, d: int | None, budget: int) -> bool:
+        """Whether g is in the family, with min degree >= d when d is given."""
+        if d is not None and any(g.degree(v) < d for v in range(g.n)):
+            return False
+        return self.graph_test(g, k, budget)
+
+    def check(
+        self, theorem: str, n: int, k: int, r: int, d: int | None, least: int = 0
+    ) -> None:
+        """Raise ValueError unless k, r >= 1, 0 <= d <= floor((K-1)/2) and n is
+        at least `least` and the formula's least n, K or K + 1 with d."""
+        if k < 1 or r < 1:
+            raise ValueError(f"{theorem}: k and r must be positive")
+        if d is not None and not 0 <= d <= self.max_d(k):
+            raise ValueError(f"{theorem}: min degree must lie in 0..{self.max_d(k)}")
+        least = max(least, self.forest_k(k) + (d is not None))
+        if n < least:
+            raise ValueError(f"{theorem} needs n >= {least}, got n = {n}")
+
+
+LK_FREE = Family(
+    lambda k: k, lambda prof, k: prof.lf < k,
+    lambda g, k, budget: is_lk_free(g, k, budget=budget), "L_k-free",
+)
+MATCHING = Family(
+    lambda k: 2 * k + 1, lambda prof, k: prof.nu <= k,
+    lambda g, k, budget: matching_number(g).size <= k, "matching number <= {k}",
+)
+
+# oracle theorem -> (family, kind, takes r != 2, takes a min degree); an
+# oracle row is labelled with the first theorem of its family that takes its
+# r and d
+ORACLE_THEOREMS = {
+    "theorem1": (LK_FREE, "equality", False, False),
+    "theorem2": (LK_FREE, "equality", True, False),
+    "theorem3": (LK_FREE, "bound", True, True),
+    "theorem5": (MATCHING, "equality", False, False),
+    "theorem6": (MATCHING, "bound", True, True),
+}
+
+
+def family_report(
+    family: Family, n: int, r: int, k: int, min_degree: int | None = None,
+    dedup: bool = False,
+) -> TheoremReport:
+    """Max N_r over the family's graphs on n vertices (with min degree >= d
+    when d is given) against the extremal formula."""
+    d = min_degree
+    theorem, kind = next(
+        (theorem, kind) for theorem, (f, kind, any_r, with_d) in ORACLE_THEOREMS.items()
+        if f is family and (any_r or r == 2) and (with_d or d is None)
+    )
+    # the oracle starts at n = k + 1, past the formula's least n for theorems
+    # 1 and 2, where every graph on k vertices is L_k-free
+    family.check(theorem, n, k, r, d, least=k + 1)
+    if n > ENUMERATION_CEILING:
+        raise ValueError(f"enumeration ceiling is n = {ENUMERATION_CEILING}")
+    if dedup:
+        oracle, witnesses = _oracle_max_dedup(family, n, r, k, d)
+    else:
+        prof = graph_profiles(n)
+        oracle, witnesses = _oracle_max(prof, r, family.profile_test(prof, k), d)
+    formula = family.formula(n, k, r, d)
+    return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
+
+
 def brute_ex(
     n: int,
     r: int,
@@ -81,29 +174,7 @@ def brute_ex(
     degree-constrained bound max{h_r(n,k,d), h_r(n,k,floor((k-1)/2))}.
     `threads` is accepted for compatibility and has no effect.
     """
-    if n < k + 1:
-        raise ValueError("oracle needs n >= k + 1")
-    if n > ENUMERATION_CEILING:
-        raise ValueError(f"enumeration ceiling is n = {ENUMERATION_CEILING}")
-    if r < 1 or k < 1:
-        raise ValueError("r and k must be positive")
-    d = min_degree
-    half = (k - 1) // 2
-    if d is not None and not 0 <= d <= half:
-        raise ValueError("min degree must lie in 0..floor((k-1)/2)")
-    formula = max(h_r(n, k, d or 0, r), h_r(n, k, half, r))
-
-    if dedup:
-        oracle, witnesses = _oracle_max_dedup(
-            n, r, lambda g: _lk_free_mindeg(g, k, d)
-        )
-    else:
-        prof = graph_profiles(n)
-        oracle, witnesses = _oracle_max(prof, r, prof.lf <= k - 1, d)
-
-    theorem = ("theorem1" if r == 2 else "theorem2") if d is None else "theorem3"
-    kind = "equality" if d is None else "bound"
-    return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
+    return family_report(LK_FREE, n, r, k, min_degree, dedup)
 
 
 def brute_ex_matching(
@@ -120,59 +191,20 @@ def brute_ex_matching(
     r = 2); with min_degree d the generalized clique version, which assumes
     n >= 2k + 2.  `threads` is accepted for compatibility and has no effect.
     """
-    if k < 1:
-        raise ValueError("matching bound k must be positive")
-    d = min_degree
-    if d is None:
-        if n < 2 * k + 1:
-            raise ValueError("matching oracle needs n >= 2k + 1")
-    else:
-        if n < 2 * k + 2:
-            raise ValueError("the min-degree variant assumes n >= 2k + 2")
-        if not 0 <= d <= k:
-            raise ValueError("min degree must lie in 0..k")
-    if n > ENUMERATION_CEILING:
-        raise ValueError(f"enumeration ceiling is n = {ENUMERATION_CEILING}")
-    formula = max(h_r(n, 2 * k + 1, d or 0, r), h_r(n, 2 * k + 1, k, r))
-
-    if dedup:
-        oracle, witnesses = _oracle_max_dedup(
-            n, r, lambda g: _matching_mindeg(g, k, d)
-        )
-    else:
-        prof = graph_profiles(n)
-        oracle, witnesses = _oracle_max(prof, r, prof.nu <= k, d)
-
-    theorem = ("theorem5" if r == 2 else "theorem6") if d is None else "theorem6"
-    kind = "equality" if theorem == "theorem5" else "bound"
-    return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
+    return family_report(MATCHING, n, r, k, min_degree, dedup)
 
 
-# -- slow reference paths ---------------------------------------------------
+# -- slow reference path ----------------------------------------------------
 
 
-def _lk_free_mindeg(
-    g: Graph, k: int, d: int | None, budget: int = DEFAULT_BUDGET
-) -> bool:
-    if d is not None and any(g.degree(v) < d for v in range(g.n)):
-        return False
-    return is_lk_free(g, k, budget=budget)
-
-
-def _matching_mindeg(g: Graph, k: int, d: int | None) -> bool:
-    if d is not None and any(g.degree(v) < d for v in range(g.n)):
-        return False
-    return matching_number(g).size <= k
-
-
-def _oracle_max_dedup(n, r, predicate):
+def _oracle_max_dedup(family, n, r, k, d):
     """Per-graph oracle over canonical representatives only."""
     if n > 6:
         raise ValueError("dedup oracle is practical only for n <= 6")
     best = -1
     witnesses: list[str] = []
     for g in enumerate_graphs(n, dedup=True):
-        if not predicate(g):
+        if not family.contains(g, k, d, DEFAULT_BUDGET):
             continue
         val = count_cliques(g, r)
         if val > best:
@@ -194,30 +226,25 @@ def check_input_graph(
     """Check one externally supplied graph against a theorem's bound.
 
     A graph that fails the theorem's hypothesis yields a passing row with an
-    explanatory note (the claim is vacuous for it).  ``budget`` caps the
-    states of the L_k-freeness search; past it BudgetExceeded is raised.
+    explanatory note (the claim is vacuous for it).  k, r and d must lie in
+    the oracle's ranges and n must be at least K, or K + 1 with a min
+    degree, where the formula is stated; otherwise ValueError is raised.
+    ``budget`` caps the states of the L_k-freeness search; past it
+    BudgetExceeded is raised.
     """
     n = g.n
-    if theorem in ("theorem1", "theorem2", "theorem3"):
-        half = (k - 1) // 2
-        formula = max(h_r(n, k, d or 0, r), h_r(n, k, half, r))
-        hyp = _lk_free_mindeg(g, k, d, budget)
-        hyp_name = "L_k-free" if d is None else f"L_k-free with min degree {d}"
-    elif theorem in ("theorem5", "theorem6"):
-        formula = max(h_r(n, 2 * k + 1, d or 0, r), h_r(n, 2 * k + 1, k, r))
-        hyp = _matching_mindeg(g, k, d)
-        hyp_name = f"matching number <= {k}"
-        if d is not None:
-            hyp_name += f" with min degree {d}"
-    else:
+    if theorem not in ORACLE_THEOREMS:
         raise ValueError(f"input-graph mode does not support {theorem}")
-    if not hyp:
-        return TheoremReport(
-            theorem, n, k, r, d, "bound", formula, 0, (to_graph6(g),),
-            note=f"hypothesis not met ({hyp_name}); vacuous",
-        )
-    val = count_cliques(g, r)
+    family = ORACLE_THEOREMS[theorem][0]
+    family.check(theorem, n, k, r, d)
+    if family.contains(g, k, d, budget):
+        val, note = count_cliques(g, r), "input graph"
+    else:
+        hyp = family.hypothesis.format(k=k)
+        if d is not None:
+            hyp += f" with min degree {d}"
+        val, note = 0, f"hypothesis not met ({hyp}); vacuous"
     return TheoremReport(
-        theorem, n, k, r, d, "bound", formula, val, (to_graph6(g),),
-        note="input graph",
+        theorem, n, k, r, d, "bound", family.formula(n, k, r, d), val,
+        (to_graph6(g),), note=note,
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -68,6 +69,26 @@ class TestCount:
             assert code == 2
             assert out == ""
             assert "error: line 3: " in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("data", [
+        b"A_\x0cA_\nB?\n",  # a form feed is no line break
+        b"A_\nB?\nC\xc3\xa9\n",  # non-ASCII bytes on line 3
+    ], ids=["form_feed", "non_ascii"])
+    def test_bad_bytes_exit_2_with_physical_line(
+        self, capsys, tmp_path, monkeypatch, source, data
+    ):
+        line = 1 if b"\x0c" in data else 3
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            path = "-"
+        else:
+            path = tmp_path / "bad.g6"
+            path.write_bytes(data)
+        code, out, err = run(capsys, "count", "--in", str(path), "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert f"error: line {line}: " in err
 
 
 class TestTransform:
@@ -180,6 +201,32 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "69ad3bca3a6b863830b7478fc1aa8467bf3397c7822593869b8a41e85500b636"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (("theorem3", "--k", "5", "--d", "2"), "theorem3 needs n >= 6, got n = 5"),
+        (("theorem6", "--k", "2", "--d", "1"), "theorem6 needs n >= 6, got n = 5"),
+        (("theorem1", "--k", "6"), "theorem1 needs n >= 6, got n = 5"),
+        (("theorem3", "--k", "6", "--d", "3"), "theorem3: min degree must lie in 0..2"),
+    ], ids=["theorem3_k5_d2", "theorem6_k2_d1", "theorem1_k6", "theorem3_k6_d3"])
+    def test_input_graph_outside_range_exit_2(self, capsys, tmp_path, argv, message):
+        src = tmp_path / "k5.g6"
+        src.write_text("D~{\n")  # K_5
+        code, out, err = run(capsys, "verify", argv[0], "--in", str(src), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("theorem1", "--k", "9"), "theorem1 needs n >= 10, got n = 3"),
+        (("theorem3", "--n", "6", "--k", "5", "--d", "1"),
+         "theorem3 needs n >= 6, got n = 3"),
+    ], ids=["theorem1_k9", "theorem3_k5_d1"])
+    def test_oracle_k_past_n_exit_2(self, capsys, argv, message):
+        # an explicit --k is checked at every n of the grid
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

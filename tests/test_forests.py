@@ -22,6 +22,7 @@ from linfor import (
 )
 from linfor.canon import refined_canonical_key
 from linfor.verify import graph_profiles
+from linfor.verify import embeds_in_host, stability_suite
 from linfor.verify.stability import listed_hosts
 
 from .oracles import lf_edge_subsets, lf_subset_dp, matching_subset_dp
@@ -175,6 +176,10 @@ NO_CYCLE_CALLS = {
     "canonical_graph": lambda: canonical_graph(_sample_graph()),
     "refined_canonical_key": lambda: refined_canonical_key(11, _sample_graph().adj),
     "g_extremal": lambda: g_extremal(3, 3),
+    "embeds_in_host": lambda: embeds_in_host(
+        build_host(ConstructionParams(12, 7, 2)), ConstructionParams(12, 7, 2)
+    ),
+    "stability_suite": lambda: stability_suite(7, 24, samples=5),
 }
 
 

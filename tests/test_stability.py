@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from linfor import ConstructionParams, Graph, build_host, disjoint_union
+from linfor import BudgetExceeded, ConstructionParams, Graph, build_host, disjoint_union
 from linfor.verify import (
     classify_matching_stability,
     classify_stability,
@@ -42,6 +42,13 @@ class TestEmbedsInHost:
     def test_cycle_refuses(self):
         g = disjoint_union(Graph.cycle(5), Graph.empty(3))
         assert embeds_in_host(g, ConstructionParams(8, 5, 2)) is None
+
+    def test_budget_counts_a_sets(self):
+        # C_8 forces no vertex into A, and none of its C(8, 2) = 28 A-sets fits
+        p = ConstructionParams(8, 5, 2)
+        assert embeds_in_host(Graph.cycle(8), p, budget=28) is None
+        with pytest.raises(BudgetExceeded, match="exceeded 27 attempts"):
+            embeds_in_host(Graph.cycle(8), p, budget=27)
 
     def test_variant_certificates(self):
         p = ConstructionParams(10, 5, 2, "plusplus")

@@ -1,6 +1,7 @@
 """Enumeration, the vectorized profile kernel, and the theorem oracles."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -246,6 +247,29 @@ class TestBruteEx:
             brute_ex(9, 2, 3)
         with pytest.raises(ValueError):
             brute_ex(6, 2, 3, min_degree=5)
+
+
+class TestOracleRanges:
+    @pytest.mark.parametrize("oracle", ["lk_free", "matching"])
+    def test_raises_exactly_outside_the_stated_ranges(self, oracle):
+        # each oracle's ranges written out independently of Family.check
+        for n, r, k, d in itertools.product(
+            [*range(-1, 7), 9], range(-1, 4), range(-1, 5), [None, -1, 0, 1, 2, 3]
+        ):
+            if oracle == "lk_free":
+                fn = brute_ex
+                bad = (n < k + 1 or n > 8 or r < 1 or k < 1
+                       or (d is not None and not 0 <= d <= (k - 1) // 2))
+            else:
+                fn = brute_ex_matching
+                bad = (k < 1 or r < 1 or n > 8 or n < 2 * k + 1 + (d is not None)
+                       or (d is not None and not 0 <= d <= k))
+            try:
+                fn(n, r, k, min_degree=d)
+            except ValueError:
+                assert bad, (n, r, k, d)
+            else:
+                assert not bad, (n, r, k, d)
 
 
 class TestBruteExMatching:
