@@ -22,7 +22,7 @@ from .verify.theorems import MATCHING, ORACLE_THEOREMS, check_input_graph, famil
 
 THEOREMS = [f"theorem{i}" for i in range(1, 8)]
 
-# exhaustive oracles: theorem -> (default r, default max n)
+# exhaustive oracles: theorem -> (default r, also with --in; default max n)
 ORACLE_DEFAULTS = {
     "theorem1": (2, 6),
     "theorem2": (3, 6),
@@ -87,13 +87,30 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _check_flags(args) -> None:
+    """Refuse flags the theorem does not take, rather than ignore them."""
+    theorem = args.theorem
+    if args.dedup and (args.input is not None or theorem not in ORACLE_THEOREMS):
+        raise ValueError("--dedup applies only to the exhaustive oracles")
+    if theorem not in ORACLE_THEOREMS:
+        return
+    _, _, any_r, with_d = ORACLE_THEOREMS[theorem]
+    if args.r is not None and not any_r:
+        raise ValueError(f"{theorem} counts edges and takes no --r")
+    if args.r == 2 and not with_d:  # theorem2: its oracle rows would be theorem1's
+        raise ValueError(f"{theorem} takes no --r 2 (r = 2 is the edge-count theorem)")
+    if args.d is not None and not with_d:
+        raise ValueError(f"{theorem} takes no --d")
+
+
 def _verify_rows(args) -> list:
     theorem = args.theorem
+    _check_flags(args)
     rows = []
     if args.input is not None:
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
-        r = args.r if args.r is not None else 2
+        r = args.r if args.r is not None else ORACLE_DEFAULTS.get(theorem, (2,))[0]
         for g in _read_graphs(args.input):
             rows.append(
                 check_input_graph(g, theorem, args.k, r, args.d, budget=args.budget)
@@ -101,23 +118,35 @@ def _verify_rows(args) -> list:
         return rows
 
     if theorem in ORACLE_THEOREMS:
-        family, _, any_r, with_d = ORACLE_THEOREMS[theorem]
+        family, _, _, with_d = ORACLE_THEOREMS[theorem]
         r_default, n_default = ORACLE_DEFAULTS[theorem]
-        r = args.r if any_r and args.r is not None else r_default
+        r = args.r if args.r is not None else r_default
         n_max = args.n if args.n is not None else n_default
         if family is MATCHING:  # k-major, and --k is the largest k
-            k_max = args.k if args.k is not None else 2
-            grid = [(n, k) for k in range(1, k_max + 1)
-                    for n in range(family.forest_k(k) + with_d, n_max + 1)]
+            ks = range(1, (args.k if args.k is not None else 2) + 1)
         else:  # n-major, and --k fixes k
-            grid = [(n, k) for n in range(3 if with_d else max(3, r), n_max + 1)
-                    for k in ([args.k] if args.k is not None else range(1 + with_d, n))]
-        for n, k in grid:
-            ds = [args.d] if args.d is not None else range(family.max_d(k) + 1)
-            for d in ds if with_d else [None]:
-                at = f"n={n} k={k} r={r}" + ("" if d is None else f" d={d}")
-                print(f"verify {theorem}: {at}", file=sys.stderr)
-                rows.append(family_report(family, n, r, k, d, dedup=args.dedup))
+            ks = [args.k] if args.k is not None else range(1 + with_d, n_max)
+        if args.d is not None and args.k is None:  # keep the k whose d range holds d
+            ks = [k for k in ks if args.d <= family.max_d(k)]
+        # each k's range starts at the oracle's least n, where family.check
+        # passes: n >= k + 1, and n >= K, or K + 1 with a min degree
+        n_min = 3 if with_d else max(3, r)
+        checks = [
+            (n, k, d) for k in ks
+            for n in range(max(n_min, k + 1, family.forest_k(k) + with_d), n_max + 1)
+            for d in (range(family.max_d(k) + 1) if with_d and args.d is None
+                      else [args.d])
+        ]
+        if family is not MATCHING:
+            checks.sort(key=lambda check: check[:2])
+        if not checks:
+            given = "".join(f" --{flag} {getattr(args, flag)}" for flag in "nkrd"
+                            if getattr(args, flag) is not None)
+            raise ValueError(f"verify {theorem}{given}: no check in range")
+        for n, k, d in checks:
+            at = f"n={n} k={k} r={r}" + ("" if d is None else f" d={d}")
+            print(f"verify {theorem}: {at}", file=sys.stderr)
+            rows.append(family_report(family, n, r, k, d, dedup=args.dedup))
     else:
         suite, default_k = SUITES[theorem]
         k = args.k if args.k is not None else default_k

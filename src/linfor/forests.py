@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphcore import Graph, disjoint_union, iter_bits
 
@@ -371,11 +372,10 @@ def _connected_components_bound(k: int, delta: int) -> int:
 
 def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int = 0):
     """Yield neighbor masks choosing 0..|class| lowest members per twin class
-    from classes[idx:], added to mask: nonzero masks of at most left more
-    vertices."""
+    from classes[idx:], added to mask: every mask of at most left more
+    vertices, the empty choice first."""
     if idx == len(classes):
-        if mask:
-            yield mask
+        yield mask
         return
     cls = classes[idx]
     for take in range(0, min(len(cls), left) + 1):
@@ -385,42 +385,44 @@ def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int 
         yield from _class_choices(classes, left - take, idx + 1, mask | add)
 
 
-def _enumerate_components(k: int, delta: int, budget: int):
-    """Connected graphs with max linear forest <= k and max degree <= delta.
+def _isomorphism_classes(
+    top: int,
+    room: Callable[[tuple[int, ...]], tuple[int, int]],
+    empty: bool,
+    keep: Callable[[Graph], bool],
+    budget: int,
+):
+    """Yield one graph per isomorphism class on 2..top vertices, level by level.
 
-    Grown one vertex at a time (each new vertex attached to a nonempty subset
-    of the old ones) with isomorphism dedup, so exactly one representative of
-    every class is produced.  All three filters are subgraph-monotone, which
-    makes the level-wise pruning sound.  Attachment subsets are enumerated up
-    to parent twin-equivalence only: permuting interchangeable parent
-    vertices yields isomorphic children.
+    Level s + 1 grows from level s (level 1 is the single vertex) by adding a
+    vertex joined to some of the parent's vertices: ``room(rows)`` gives the
+    parent's open vertices as a mask and how many of them the new vertex may
+    join, and with ``empty`` false it must join at least one.  A child whose
+    canonical key is already on its level is dropped, and so is one that
+    fails ``keep``, which must be inherited by the parents the rule grows
+    from.  A class is then reached when one of its graphs passes ``keep``
+    and loses a vertex to a reached graph whose room admits that vertex's
+    neighbors (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    1998).  Attachment subsets are enumerated up to parent twin-equivalence
+    only: permuting interchangeable parent vertices yields isomorphic
+    children.  More than ``budget`` new children raise BudgetExceeded.
     """
     from .canon import refined_canonical_key
 
-    cap = _connected_components_bound(k, delta)
-    if delta == 1:
-        max_edges = 1  # a connected graph with max degree 1 is a single edge
-    elif delta == 2:
-        max_edges = (3 * k) // 2
-    else:
-        max_edges = k * (delta - 1)
-    level: dict[tuple[int, ...], tuple[int, ...]] = {(): (0,)}
+    level: dict[tuple, tuple[int, ...]] = {(): (0,)}
     produced = 0
-    for size in range(2, cap + 1):
+    for size in range(2, top + 1):
         n0 = size - 1
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nxt: dict[tuple, tuple[int, ...]] = {}
         for _, prows in sorted(level.items()):
-            degs = [prows[v].bit_count() for v in range(n0)]
-            p_edges = sum(degs) // 2
+            open_mask, cap = room(prows)
             open_classes = [
-                [v for v in cls if degs[v] < delta]
+                [v for v in cls if open_mask >> v & 1]
                 for cls in _twin_classes_rows(n0, prows)
             ]
-            open_classes = [cls for cls in open_classes if cls]
-            nb_cap = min(delta, max_edges - p_edges)
-            if nb_cap < 1:
-                continue
-            for nb_mask in _class_choices(open_classes, nb_cap):
+            for nb_mask in _class_choices([cls for cls in open_classes if cls], cap):
+                if not (nb_mask or empty):
+                    continue
                 rows = tuple(
                     row | ((nb_mask >> v & 1) << n0) for v, row in enumerate(prows)
                 ) + (nb_mask,)
@@ -430,16 +432,42 @@ def _enumerate_components(k: int, delta: int, budget: int):
                 produced += 1
                 if produced > budget:
                     raise BudgetExceeded(
-                        f"component enumeration exceeded {budget} graphs"
+                        f"isomorphism-class enumeration exceeded {budget} graphs"
                     )
                 child = Graph(size, rows)
-                if not is_lk_free(child, k + 1, budget=budget):
+                if not keep(child):
                     continue
                 nxt[key] = rows
                 yield child
         if not nxt:
             break
         level = nxt
+
+
+def _enumerate_components(k: int, delta: int, budget: int):
+    """Connected graphs on 2 or more vertices with max linear forest <= k and
+    max degree <= delta, one per isomorphism class.
+
+    Each new vertex joins a nonempty set of vertices of degree below delta.
+    All three filters are subgraph-monotone and every connected graph has a
+    vertex whose removal leaves it connected, so every class is reached.
+    """
+    if delta == 1:
+        max_edges = 1  # a connected graph with max degree 1 is a single edge
+    elif delta == 2:
+        max_edges = (3 * k) // 2
+    else:
+        max_edges = k * (delta - 1)
+
+    def room(rows: tuple[int, ...]) -> tuple[int, int]:
+        degs = [row.bit_count() for row in rows]
+        open_mask = sum(1 << v for v, deg in enumerate(degs) if deg < delta)
+        return open_mask, min(delta, max_edges - sum(degs) // 2)
+
+    return _isomorphism_classes(
+        _connected_components_bound(k, delta), room, False,
+        lambda child: is_lk_free(child, k + 1, budget=budget), budget,
+    )
 
 
 def g_extremal(

@@ -194,13 +194,11 @@ def brute_ex_matching(
     return family_report(MATCHING, n, r, k, min_degree, dedup)
 
 
-# -- slow reference path ----------------------------------------------------
+# -- second oracle ----------------------------------------------------------
 
 
 def _oracle_max_dedup(family, n, r, k, d):
-    """Per-graph oracle over canonical representatives only."""
-    if n > 6:
-        raise ValueError("dedup oracle is practical only for n <= 6")
+    """Per-graph oracle over one graph per isomorphism class."""
     best = -1
     witnesses: list[str] = []
     for g in enumerate_graphs(n, dedup=True):

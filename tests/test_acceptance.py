@@ -28,6 +28,7 @@ from linfor.cli import main as cli_main
 from linfor.verify import (
     brute_ex,
     brute_ex_matching,
+    enumerate_graphs,
     graph_profiles,
     matching_stability_suite,
     stability_suite,
@@ -88,11 +89,19 @@ def test_criterion_2_theorem2_equality_and_spot():
 
 
 def test_criterion_2_full_n8_run():
-    # exhaustive over all 2^28 labeled graphs on 8 vertices
+    # exhaustive over all 2^28 labeled graphs on 8 vertices, and again over
+    # the 12346 isomorphism classes, whose witnesses the arrays must confirm
     from linfor.verify import profile as profile_mod
 
     try:
         rep = brute_ex(8, 3, 5)
+        classes = sum(1 for _ in enumerate_graphs(8, dedup=True))
+        slow = brute_ex(8, 3, 5, dedup=True)
+        prof = graph_profiles(8)
+        slow_masks = [parse_graph6(g6).edge_mask() for g6 in slow.witnesses]
+        slow_ok = bool(slow_masks) and all(
+            prof.lf[m] < 5 and prof.cliques(3)[m] == 10 for m in slow_masks
+        )
     finally:
         profile_mod._cache.pop(8, None)  # the n = 8 arrays hold about 1 GB
     witnesses = [parse_graph6(g6) for g6 in rep.witnesses]
@@ -100,10 +109,14 @@ def test_criterion_2_full_n8_run():
         g.n == 8 and is_lk_free(g, 5) and count_cliques(g, 3) == 10
         for g in witnesses
     )
-    ok = rep.oracle_value == rep.formula_value == 10 and witnesses_ok
+    ok = (rep.oracle_value == rep.formula_value == slow.oracle_value == 10
+          and witnesses_ok and classes == 12346 and slow_ok)
     _status("2b theorem2-full-n8", ok, f"(oracle {rep.oracle_value})")
     assert rep.oracle_value == rep.formula_value == 10
     assert witnesses_ok
+    assert classes == 12346
+    assert slow.oracle_value == 10
+    assert slow_ok
 
 
 def test_criterion_3_theorem3_bound_and_sharpness():

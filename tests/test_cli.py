@@ -187,6 +187,18 @@ class TestVerify:
         doc = json.loads(out_file.read_text())
         assert len(doc["reports"]) == 2
 
+    @pytest.mark.parametrize("theorem, r", [
+        ("theorem1", 2), ("theorem2", 3), ("theorem5", 2), ("theorem6", 3),
+    ])
+    def test_input_graph_mode_takes_the_theorems_default_r(
+        self, capsys, tmp_path, theorem, r
+    ):
+        src = tmp_path / "k6.g6"
+        src.write_text("E~~w\n")  # K_6
+        code, out, _ = run(capsys, "verify", theorem, "--in", str(src), "--k", "2")
+        assert code == 0
+        assert [row["r"] for row in json.loads(out)["reports"]] == [r]
+
     def test_input_graph_mode_honours_budget(self, capsys, tmp_path):
         # K_4 is L_4-free, and nu = 2 <= lf = 3 <= 2 nu leaves it to the search
         src = tmp_path / "k4.g6"
@@ -217,16 +229,66 @@ class TestVerify:
         assert f"error: {message}" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (("theorem1", "--k", "9"), "theorem1 needs n >= 10, got n = 3"),
-        (("theorem3", "--n", "6", "--k", "5", "--d", "1"),
-         "theorem3 needs n >= 6, got n = 3"),
-    ], ids=["theorem1_k9", "theorem3_k5_d1"])
+        (("theorem1", "--k", "9"), "verify theorem1 --k 9: no check in range"),
+    ], ids=["theorem1_k9"])
     def test_oracle_k_past_n_exit_2(self, capsys, argv, message):
-        # an explicit --k is checked at every n of the grid
+        # an explicit --k whose least n lies past the range leaves no row
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv, ks", [
+        (("theorem1", "--n", "6", "--k", "5"), [5]),
+        (("theorem2", "--n", "6", "--k", "3"), [3, 3, 3]),
+        (("theorem3", "--n", "5", "--d", "1"), [3, 3, 4]),
+        (("theorem6", "--d", "2"), [2, 2]),
+    ], ids=["theorem1_k5", "theorem2_k3", "theorem3_d1", "theorem6_d2"])
+    def test_oracle_grid_starts_at_least_n(self, capsys, argv, ks):
+        # each k's n range starts where its oracle is defined, and without
+        # --k a --d skips the k whose d range excludes it
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [row["k"] for row in reports] == ks
+        assert all(row["n"] > row["k"] for row in reports)
+
+    def test_empty_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "theorem5", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "error: verify theorem5 --n 2: no check in range" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("theorem1", "--r", "3"), "theorem1 counts edges and takes no --r"),
+        (("theorem5", "--r", "3"), "theorem5 counts edges and takes no --r"),
+        (("theorem2", "--r", "2"), "theorem2 takes no --r 2"),
+        (("theorem1", "--d", "1"), "theorem1 takes no --d"),
+        (("theorem2", "--d", "1"), "theorem2 takes no --d"),
+        (("theorem5", "--d", "0"), "theorem5 takes no --d"),
+        (("theorem4", "--dedup"), "--dedup applies only to the exhaustive oracles"),
+        (("theorem7", "--dedup"), "--dedup applies only to the exhaustive oracles"),
+        (("theorem1", "--in", "-", "--k", "3", "--dedup"),
+         "--dedup applies only to the exhaustive oracles"),
+    ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
+            "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup"])
+    def test_flag_that_does_not_apply_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
+    def test_dedup_reaches_n7(self, capsys):
+        argv = ("verify", "theorem1", "--n", "7", "--k", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, dedup_out, _ = run(capsys, *argv, "--dedup")
+        assert code == 0
+        fast, slow = (json.loads(text)["reports"] for text in (out, dedup_out))
+        assert [row["n"] for row in slow] == [6, 7]
+        assert [row["oracle_value"] for row in slow] == [
+            row["oracle_value"] for row in fast
+        ]
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,10 +8,9 @@ even-k ``plusplus`` host), theorem7 at k = 4, and the further oracle,
 records with 7 <= n <= 10 drawn from ``random.Random(5)``: lines 1, 3, ...
 are G(n, p) with p in {0.15, 0.3, 0.6}, lines 2, 4, ... are hosts
 H(n, K, a), K in {4, 5}, with each edge deleted with probability 0.2.
-``theorem3_n6_k5_d1.json`` holds ``reports_json([brute_ex(6, 2, 5,
-min_degree=1)])``: ``verify theorem3 --n 6 --k 5 --d 1`` exits 2 at
-n = 3 < k + 1 before it reaches that row.  Any change to a report byte fails
-here.
+``theorem3_n6_k5_d1.json`` was captured as ``reports_json([brute_ex(6, 2, 5,
+min_degree=1)])``, the one row of ``verify theorem3 --n 6 --k 5 --d 1``.
+Any change to a report byte fails here.
 """
 
 from pathlib import Path
@@ -19,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from linfor.cli import main
-from linfor.verify import brute_ex, reports_json
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = str(GOLDEN / "inputs.g6")
@@ -34,6 +32,7 @@ CASES["theorem7_k4.json"] = ("theorem7", "--k", "4")
 CASES.update({
     "theorem2_n6_r4.json": ("theorem2", "--n", "6", "--r", "4"),
     "theorem3_n6_r3.json": ("theorem3", "--n", "6", "--r", "3"),
+    "theorem3_n6_k5_d1.json": ("theorem3", "--n", "6", "--k", "5", "--d", "1"),
     "theorem5_n7_k3.json": ("theorem5", "--n", "7", "--k", "3"),
     "theorem6_n7_k2_r4.json": ("theorem6", "--n", "7", "--k", "2", "--r", "4"),
     "theorem1_n5_dedup.json": ("theorem1", "--n", "5", "--dedup"),
@@ -53,7 +52,3 @@ def test_report_matches_golden(name, capsys):
     assert main(["verify", *CASES[name]]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
-
-def test_oracle_report_matches_golden():
-    report = reports_json([brute_ex(6, 2, 5, min_degree=1)])
-    assert report.encode() == (GOLDEN / "theorem3_n6_k5_d1.json").read_bytes()

@@ -144,13 +144,23 @@ class TestEnumerate:
         assert masks == again
 
     def test_dedup_counts_match_iso_classes(self):
-        # numbers of graphs up to isomorphism on 1..5 vertices
-        for n, expected in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
+        # numbers of graphs up to isomorphism on 0..7 vertices (OEIS A000088)
+        for n, expected in enumerate([1, 1, 2, 4, 11, 34, 156, 1044]):
             assert sum(1 for _ in enumerate_graphs(n, dedup=True)) == expected
 
     def test_dedup_yields_canonical_representatives(self):
         for g in enumerate_graphs(4, dedup=True):
             assert is_canonical(g)
+        # exactly the labeled scan's canonical graphs, in its order
+        for n in range(6):
+            scan = [g.edge_mask() for g in enumerate_graphs(n) if is_canonical(g)]
+            assert [g.edge_mask() for g in enumerate_graphs(n, dedup=True)] == scan
+        # n = 6: the sha256 of the labeled scan's canonical masks, which take
+        # that scan seconds to find
+        masks = ",".join(str(g.edge_mask()) for g in enumerate_graphs(6, dedup=True))
+        assert hashlib.sha256(masks.encode()).hexdigest() == (
+            "0e818505afd32086138ff2545f074138d3049bbb8bea094e0520926c913e353e"
+        )
 
     def test_ceiling(self):
         with pytest.raises(ValueError):
@@ -234,11 +244,12 @@ class TestBruteEx:
         assert rep.oracle_value <= rep.formula_value
 
     def test_dedup_agrees_with_array_path(self):
-        for n in range(3, 6):
+        for n in range(3, 8):
             for k in range(2, n):
-                fast = brute_ex(n, 2, k)
-                slow = brute_ex(n, 2, k, dedup=True)
-                assert fast.oracle_value == slow.oracle_value
+                for r in (2, 3):
+                    fast = brute_ex(n, r, k)
+                    slow = brute_ex(n, r, k, dedup=True)
+                    assert fast.oracle_value == slow.oracle_value
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
