@@ -230,9 +230,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, message", [
         (("theorem1", "--k", "9"), "verify theorem1 --k 9: no check in range"),
-    ], ids=["theorem1_k9"])
+        (("theorem5", "--n", "2"), "verify theorem5 --n 2: no check in range"),
+    ], ids=["theorem1_k9", "theorem5_n2"])
     def test_oracle_k_past_n_exit_2(self, capsys, argv, message):
-        # an explicit --k whose least n lies past the range leaves no row
+        # a grid in which every k's least n lies past the range has no row
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
@@ -252,12 +253,6 @@ class TestVerify:
         reports = json.loads(out)["reports"]
         assert [row["k"] for row in reports] == ks
         assert all(row["n"] > row["k"] for row in reports)
-
-    def test_empty_grid_exit_2(self, capsys):
-        code, out, err = run(capsys, "verify", "theorem5", "--n", "2")
-        assert code == 2
-        assert out == ""
-        assert "error: verify theorem5 --n 2: no check in range" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("theorem1", "--r", "3"), "theorem1 counts edges and takes no --r"),
