@@ -230,8 +230,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, message", [
         (("theorem1", "--k", "9"), "verify theorem1 --k 9: no check in range"),
+        (("theorem3", "--n", "5", "--k", "5", "--d", "1"),
+         "verify theorem3 --n 5 --k 5 --d 1: no check in range"),
         (("theorem5", "--n", "2"), "verify theorem5 --n 2: no check in range"),
-    ], ids=["theorem1_k9", "theorem5_n2"])
+    ], ids=["theorem1_k9", "theorem3_k5_d1", "theorem5_n2"])
     def test_oracle_k_past_n_exit_2(self, capsys, argv, message):
         # a grid in which every k's least n lies past the range has no row
         code, out, err = run(capsys, "verify", *argv)

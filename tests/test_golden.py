@@ -8,9 +8,10 @@ even-k ``plusplus`` host), theorem7 at k = 4, and the further oracle,
 records with 7 <= n <= 10 drawn from ``random.Random(5)``: lines 1, 3, ...
 are G(n, p) with p in {0.15, 0.3, 0.6}, lines 2, 4, ... are hosts
 H(n, K, a), K in {4, 5}, with each edge deleted with probability 0.2.
-``theorem3_n6_k5_d1.json`` was captured as ``reports_json([brute_ex(6, 2, 5,
-min_degree=1)])``, the one row of ``verify theorem3 --n 6 --k 5 --d 1``.
-Any change to a report byte fails here.
+``theorem3_n6_k5_d1.json`` holds ``reports_json([brute_ex(6, 2, 5,
+min_degree=1)])``, the one row of ``verify theorem3 --n 6 --k 5 --d 1``; it
+is compared both through the oracle and through the CLI.  Any change to a
+report byte fails here.
 """
 
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from linfor.cli import main
+from linfor.verify import brute_ex, reports_json
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = str(GOLDEN / "inputs.g6")
@@ -52,3 +54,7 @@ def test_report_matches_golden(name, capsys):
     assert main(["verify", *CASES[name]]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
+
+def test_oracle_report_matches_golden():
+    report = reports_json([brute_ex(6, 2, 5, min_degree=1)])
+    assert report.encode() == (GOLDEN / "theorem3_n6_k5_d1.json").read_bytes()
