@@ -1,15 +1,17 @@
 """Exact r-clique counting on dense bitset graphs.
 
-Counting uses degeneracy-ordered vertex expansion: every clique is generated
-once, with its vertices in degeneracy-rank order, by intersecting candidate
-bitmasks.  Counts are vertex-set counts (each clique counted once).
+Counting uses index-order vertex expansion: every clique is generated once,
+with its vertices in ascending index order, by intersecting each vertex's
+higher-index neighbour mask with the candidates.  Vertex order changes only
+how wide the search branches, never the count, so no ordering pass is made.
+Counts are vertex-set counts (each clique counted once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import Graph, iter_bits
+from .graphcore import Graph
 
 
 @dataclass(frozen=True)
@@ -26,35 +28,6 @@ class CliqueVector:
         return self.counts[r - 1]
 
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex (lowest index on ties)."""
-    alive = g.vertex_mask()
-    order = []
-    for _ in range(g.n):
-        best = -1
-        best_deg = g.n + 1
-        for v in iter_bits(alive):
-            d = (g.adj[v] & alive).bit_count()
-            if d < best_deg:
-                best, best_deg = v, d
-        order.append(best)
-        alive ^= 1 << best
-    return order
-
-
-def _successor_masks(g: Graph) -> list[int]:
-    order = degeneracy_order(g)
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
-    succ = [0] * g.n
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            if rank[u] > rank[v]:
-                succ[v] |= 1 << u
-    return succ
-
-
 def count_cliques(g: Graph, r: int) -> int:
     """Number of r-vertex complete subgraphs of g (0 when r > n)."""
     if r < 1:
@@ -63,12 +36,12 @@ def count_cliques(g: Graph, r: int) -> int:
         return 0
     if r == 1:
         return g.n
-    succ = _successor_masks(g)
-    return sum(_expand(succ[v], r - 1, succ) for v in range(g.n))
+    succ = [row >> (v + 1) << (v + 1) for v, row in enumerate(g.adj)]
+    return sum(_expand(s, r - 1, succ) for s in succ)
 
 
 def _expand(cand: int, need: int, succ: list[int]) -> int:
-    """need-cliques inside cand whose vertices ascend in degeneracy rank."""
+    """need-cliques inside cand whose vertices ascend in index order."""
     if need == 1:
         return cand.bit_count()
     if cand.bit_count() < need:

@@ -9,13 +9,14 @@ from .stability import (
     classify_matching_stability,
     classify_stability,
     embeds_in_host,
+    host_label,
     listed_hosts,
     matching_hosts,
     matching_stability_threshold,
     stability_threshold,
     validate_embedding,
 )
-from .suite import host_label, matching_stability_suite, stability_suite
+from .suite import matching_stability_suite, stability_suite
 from .theorems import TheoremReport, brute_ex, brute_ex_matching, check_input_graph
 
 __all__ = [

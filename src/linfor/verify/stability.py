@@ -64,6 +64,11 @@ def validate_embedding(g: Graph, cert: EmbeddingCertificate) -> bool:
     return True
 
 
+def host_label(p: ConstructionParams) -> str:
+    marks = {"plain": "", "plus": "+", "plusplus": "++"}
+    return f"H{marks[p.variant]}({p.n},{p.k},{p.a})"
+
+
 def _components(g: Graph, alive: int) -> list[int]:
     """Connected components (as bitmasks) of the subgraph induced on alive."""
     comps = []
@@ -177,7 +182,12 @@ def embeds_in_host(
     pool_classes = [cls for cls in pool_classes if cls]
     for attempts, amask in enumerate(_a_sets(pool_classes, 0, need, forced), 1):
         if attempts > budget:
-            raise BudgetExceeded(f"embedding search exceeded {budget} attempts")
+            raise BudgetExceeded(
+                f"embedding an n = {g.n} graph into {host_label(p)} with"
+                f" {forced.bit_count()} forced A vertices and"
+                f" {len(pool_classes)} pool twin classes"
+                f" exceeded {budget} attempts"
+            )
         cert = _try_assignment(g, p, amask)
         if cert is not None:
             return cert

@@ -28,13 +28,9 @@ from .stability import (
     classify_matching_stability,
     classify_stability,
     family_threshold,
+    host_label,
 )
 from .theorems import TheoremReport
-
-
-def host_label(p: ConstructionParams) -> str:
-    marks = {"plain": "", "plus": "+", "plusplus": "++"}
-    return f"H{marks[p.variant]}({p.n},{p.k},{p.a})"
 
 
 def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
@@ -67,13 +63,16 @@ def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
     return cands
 
 
-def _delete_random_edges(host: Graph, rng: random.Random) -> Graph:
-    edges = host.edges()
+def _delete_random_edges(
+    host: Graph, edges: list[tuple[int, int]], rng: random.Random
+) -> Graph:
+    """The host minus 1-3 seeded random edges drawn from its edge list."""
     j = rng.randint(1, min(3, len(edges)))
-    g = host
+    rows = list(host.adj)
     for u, v in rng.sample(edges, j):
-        g = g.without_edge(u, v)
-    return g
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(host.n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,8 @@ def _run_suite(
 ) -> list[TheoremReport]:
     family, theorem = spec.family, spec.theorem
     family.require_k(k, "suite")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if r_values is None:
         r_values = list(range(2, (family.base.forest_k(k) - 3) // 2 + 1))
     dd = family.base.stability_a(k) if d is None else d
@@ -153,7 +154,11 @@ def _run_suite(
                 note=f"{label}: host certifies by embedding",
             )
         )
-        ok = sum(certifies(_delete_random_edges(host, rng), 0) for _ in range(samples))
+        edges = host.edges()
+        ok = sum(
+            certifies(_delete_random_edges(host, edges, rng), 0)
+            for _ in range(samples)
+        )
         rows.append(
             TheoremReport(
                 theorem, n, k, 2, 0, "equality", samples, ok,

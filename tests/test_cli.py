@@ -275,6 +275,14 @@ class TestVerify:
         assert out == ""
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        # below 1 the subgraph row is a false FAIL or a vacuous pass
+        code, out, err = run(capsys, "verify", "theorem4", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert f"error: samples must be at least 1, got {samples}" in err
+
     def test_dedup_reaches_n7(self, capsys):
         argv = ("verify", "theorem1", "--n", "7", "--k", "5")
         code, out, _ = run(capsys, *argv)

@@ -2,7 +2,15 @@
 
 import random
 
-from linfor import Graph, clique_vector, count_cliques
+from linfor import (
+    ConstructionParams,
+    Graph,
+    build_host,
+    clique_vector,
+    count_cliques,
+    host_clique_count,
+)
+from linfor.verify import listed_hosts
 
 from .oracles import count_cliques_subsets
 
@@ -39,6 +47,36 @@ class TestCountCliques:
             h = g.relabel(perm)
             for r in range(1, n + 1):
                 assert count_cliques(g, r) == count_cliques(h, r)
+
+    def test_oracle_high_degree_first(self):
+        # index order, not degree, drives the expansion: put the hubs first
+        rng = random.Random(23)
+        graphs = []
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            rows = [row | 1 for row in random_graph(n, rng, rng.random()).adj]
+            rows[0] = (1 << n) - 2  # vertex 0 joins everything
+            hub = Graph(n, tuple(rows))
+            by_degree = sorted(range(n), key=lambda v: -hub.degree(v))
+            perm = [0] * n
+            for new, v in enumerate(by_degree):
+                perm[v] = new
+            graphs.append(hub.relabel(perm))
+        for p in (ConstructionParams(10, 5, 2), ConstructionParams(10, 6, 2, "plusplus"),
+                  ConstructionParams(9, 7, 3, "plus")):
+            host = build_host(p)  # part A is 0..a-1, the highest degrees
+            graphs += [host, host.relabel(list(range(p.n))[::-1])]
+        for g in graphs:
+            for r in range(1, g.n + 2):
+                assert count_cliques(g, r) == count_cliques_subsets(g, r)
+
+    def test_reversed_hosts_match_closed_form(self):
+        # part A last: the lowest index of a clique sits in B or C
+        for k in (7, 8, 9):
+            for p in listed_hosts(60, k):
+                g = build_host(p).relabel(list(range(60))[::-1])
+                for r in range(2, 6):
+                    assert count_cliques(g, r) == host_clique_count(p, r)
 
     def test_monotone_under_edge_addition(self):
         rng = random.Random(17)

@@ -1,10 +1,18 @@
 """Host embedding and stability classification."""
 
+import hashlib
 import random
 
 import pytest
 
-from linfor import BudgetExceeded, ConstructionParams, Graph, build_host, disjoint_union
+from linfor import (
+    BudgetExceeded,
+    ConstructionParams,
+    Graph,
+    build_host,
+    disjoint_union,
+    to_graph6,
+)
 from linfor.verify import (
     classify_matching_stability,
     classify_stability,
@@ -49,6 +57,18 @@ class TestEmbedsInHost:
         assert embeds_in_host(Graph.cycle(8), p, budget=28) is None
         with pytest.raises(BudgetExceeded, match="exceeded 27 attempts"):
             embeds_in_host(Graph.cycle(8), p, budget=27)
+
+    def test_budget_message_names_the_search(self):
+        # both A vertices keep degree 8 and are forced; the other eight
+        # vertices fall into two twin classes
+        p = ConstructionParams(10, 5, 2, "plus")
+        g = build_host(p).without_edge(0, 1)
+        with pytest.raises(BudgetExceeded) as exc:
+            embeds_in_host(g, p, budget=0)
+        assert str(exc.value) == (
+            "embedding an n = 10 graph into H+(10,5,2) with 2 forced A vertices"
+            " and 2 pool twin classes exceeded 0 attempts"
+        )
 
     def test_variant_certificates(self):
         p = ConstructionParams(10, 5, 2, "plusplus")
@@ -208,3 +228,25 @@ class TestSuites:
         a = stability_suite(8, 21, samples=4, seed=9)
         b = stability_suite(8, 21, samples=4, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("suite, k, name, digest", [
+        (stability_suite, 7, "classify_stability",
+         "2fde5712bde0d68a4fff2f3b58756f934493d192e4e4064df39f38a5f79b8a81"),
+        (matching_stability_suite, 3, "classify_matching_stability",
+         "a10084e8a1ae96762937612f1a9fb80e95c160574f99606953e36e85140f8d12"),
+    ], ids=["theorem4", "theorem7"])
+    def test_sampled_graphs_pinned(self, monkeypatch, suite, k, name, digest):
+        # report rows hold only counts, so pin which graphs get classified
+        import linfor.verify.suite as suite_module
+
+        seen = []
+        inner = getattr(suite_module, name)
+
+        def record(g, *args, **kwargs):
+            seen.append(to_graph6(g))
+            return inner(g, *args, **kwargs)
+
+        monkeypatch.setattr(suite_module, name, record)
+        suite(k, 24, samples=5, seed=3)
+        text = "\n".join(seen) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
