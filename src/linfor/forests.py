@@ -489,8 +489,6 @@ def g_extremal(
     # best connected component per exact forest size
     best_comp: dict[int, tuple[int, Graph]] = {}
     for comp in _enumerate_components(k, delta, budget):
-        if comp.edge_count == 0:
-            continue
         f = max_linear_forest(comp, budget=budget).size
         cur = best_comp.get(f)
         if cur is None or comp.edge_count > cur[0]:

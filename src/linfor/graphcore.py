@@ -12,8 +12,8 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
-# graph6 sizes: single-byte headers encode n <= 62, the 4-byte long form
-# covers the rest of our dense range.
+# graph6 sizes: single-byte headers encode n <= 62, the only form written;
+# the parser also reads the 4-byte long form that covers n = 63 and 64.
 _G6_SHORT_MAX = 62
 
 
@@ -27,13 +27,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def pair_index(u: int, v: int) -> int:
@@ -234,20 +227,13 @@ def induced_subgraph(g: Graph, vertices: int) -> Graph:
 # -- graph6 ---------------------------------------------------------------
 
 
-def _g6_size_bytes(n: int) -> bytes:
-    if n <= _G6_SHORT_MAX:
-        return bytes([n + 63])
-    # long form: '~' then 18 bits big-endian in three printable bytes
-    return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-
-
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a single graph6 record (no trailing newline)."""
     if g.n > _G6_SHORT_MAX:
         raise Graph6Error(
             f"n={g.n} exceeds the single-byte graph6 size header (max {_G6_SHORT_MAX})"
         )
-    out = bytearray(_g6_size_bytes(g.n))
+    out = bytearray([g.n + 63])
     bits = 0
     nbits = 0
     for v in range(1, g.n):

@@ -90,19 +90,10 @@ def _components(g: Graph, alive: int) -> list[int]:
 
 def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     rest = g.vertex_mask() ^ amask
-    comps = _components(g, rest)
-    nontrivial = []
-    k2 = []
-    for comp in comps:
-        sz = comp.bit_count()
-        if sz == 1:
-            continue
-        edges_inside = sum((g.adj[v] & comp).bit_count() for v in iter_bits(comp)) // 2
-        if edges_inside == 0:
-            continue
-        nontrivial.append(comp)
-        if sz == 2 and edges_inside == 1:
-            k2.append(comp)
+    # components are connected, so any with two vertices or more has an edge
+    # and one with exactly two is a K_2
+    nontrivial = [c for c in _components(g, rest) if c.bit_count() > 1]
+    k2 = [c for c in nontrivial if c.bit_count() == 2]
     designated = k2[: p.extra_edge_count]
     load = sum(c.bit_count() for c in nontrivial) - 2 * len(designated)
     if load > p.b_size:

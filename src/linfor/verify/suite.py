@@ -20,7 +20,6 @@ from ..constructions import ConstructionParams, build_host
 from ..forests import DEFAULT_BUDGET, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .stability import (
-    EMBED_BUDGET,
     MATCHING_STABILITY,
     STABILITY,
     StabilityFamily,
@@ -38,11 +37,7 @@ def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
     core = p.k - p.a
     cands: list[tuple[int, int]] = []
     if p.b_size >= 1 and p.c_size >= 1:
-        b0 = p.a
-        for c in range(core, p.n):
-            if not host.has_edge(b0, c):
-                cands.append((b0, c))
-                break
+        cands.append((p.a, core))  # build_host never joins B to C
     for u in range(core, p.n):
         done = False
         for v in range(u + 1, p.n):
@@ -82,7 +77,7 @@ class SuiteSpec:
 
     family: StabilityFamily
     theorem: str
-    classify: Callable[..., StabilityReport]  # (g, k, r, d, budget)
+    classify: Callable[..., StabilityReport]  # (g, k, r, d)
     bound: Callable[[Graph, int, int], tuple[int, int]]  # (host, k, budget)
     bound_note: str
     breaks_note: str
@@ -90,14 +85,14 @@ class SuiteSpec:
 
 THEOREM4 = SuiteSpec(
     STABILITY, "theorem4",
-    lambda g, k, r, d, budget: classify_stability(g, k, r, d, budget),
+    lambda g, k, r, d: classify_stability(g, k, r, d),
     lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
     "exact max linear forest <= k-1",
     "freeness",
 )
 THEOREM7 = SuiteSpec(
     MATCHING_STABILITY, "theorem7",
-    lambda g, k, r, d, budget: classify_matching_stability(g, k, r, d, budget),
+    lambda g, k, r, d: classify_matching_stability(g, k, r, d),
     lambda host, k, budget: (k, matching_number(host).size),
     "matching number <= k",
     "matching bound",
@@ -113,7 +108,6 @@ def _run_suite(
     samples: int,
     seed: int,
     budget: int,
-    embed_budget: int,
 ) -> list[TheoremReport]:
     family, theorem = spec.family, spec.theorem
     family.require_k(k, "suite")
@@ -121,12 +115,15 @@ def _run_suite(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if r_values is None:
         r_values = list(range(2, (family.base.forest_k(k) - 3) // 2 + 1))
+    elif min(r_values, default=2) < 2:
+        # N_1 = n = h_1(n, K, a) for every graph, so no graph clears r = 1
+        raise ValueError(f"{theorem}: r must be at least 2, got {min(r_values)}")
     dd = family.base.stability_a(k) if d is None else d
     rng = random.Random(seed)
     rows: list[TheoremReport] = []
 
     def certifies(g: Graph, d: int) -> int:
-        rep = spec.classify(g, k, 2, d, embed_budget)
+        rep = spec.classify(g, k, 2, d)
         return int(rep.above_threshold and rep.embedded)
 
     for p in family.hosts(n, k):
@@ -191,10 +188,9 @@ def stability_suite(
     samples: int = 5,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    embed_budget: int = EMBED_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the stability classification at (k, n)."""
-    return _run_suite(THEOREM4, k, n, r_values, d, samples, seed, budget, embed_budget)
+    return _run_suite(THEOREM4, k, n, r_values, d, samples, seed, budget)
 
 
 def matching_stability_suite(
@@ -205,7 +201,6 @@ def matching_stability_suite(
     samples: int = 5,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    embed_budget: int = EMBED_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the matching stability result at (k, n)."""
-    return _run_suite(THEOREM7, k, n, r_values, d, samples, seed, budget, embed_budget)
+    return _run_suite(THEOREM7, k, n, r_values, d, samples, seed, budget)

@@ -267,8 +267,11 @@ class TestVerify:
         (("theorem7", "--dedup"), "--dedup applies only to the exhaustive oracles"),
         (("theorem1", "--in", "-", "--k", "3", "--dedup"),
          "--dedup applies only to the exhaustive oracles"),
+        (("theorem4", "--r", "1"), "theorem4: r must be at least 2, got 1"),
+        (("theorem7", "--r", "1"), "theorem7: r must be at least 2, got 1"),
     ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
-            "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup"])
+            "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup",
+            "theorem4_r1", "theorem7_r1"])
     def test_flag_that_does_not_apply_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2

@@ -1,6 +1,7 @@
 """Host embedding and stability classification."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -14,15 +15,20 @@ from linfor import (
     to_graph6,
 )
 from linfor.verify import (
+    EmbeddingCertificate,
     classify_matching_stability,
     classify_stability,
     embeds_in_host,
+    host_label,
     listed_hosts,
     matching_hosts,
     matching_stability_suite,
+    matching_stability_threshold,
     stability_suite,
+    stability_threshold,
     validate_embedding,
 )
+from linfor.verify.suite import _forbidden_edges
 
 
 class TestEmbedsInHost:
@@ -111,10 +117,30 @@ class TestEmbedsInHost:
     def test_validate_rejects_wrong_parts(self):
         p = ConstructionParams(6, 3, 1)
         cert = embeds_in_host(Graph.star(5), p)
-        from linfor.verify import EmbeddingCertificate
-
         bad = EmbeddingCertificate(p, tuple(["C"] + list(cert.parts[1:])), ())
         assert not validate_embedding(Graph.star(5), bad)
+
+    # A = {0, 1}, B = {2} and C = the rest in every H(n, 5, 2) variant
+    @pytest.mark.parametrize("g_n, p_n, variant, c_edges, parts, extra", [
+        (8, 9, "plain", [], "AABCCCCC", ()),
+        (8, 8, "plain", [], "AABCCCC", ()),
+        (8, 8, "plus", [], "AABCCCCC", ((2, 3),)),
+        (10, 10, "plusplus", [(3, 4), (4, 5)], "AABCCCCCCC", ((3, 4), (4, 5))),
+        (10, 10, "plus", [(3, 4), (5, 6)], "AABCCCCCCC", ((3, 4), (5, 6))),
+        (8, 8, "plain", [(3, 4)], "AABCCCCC", ()),
+    ], ids=["graph_n", "parts_length", "extra_leaves_c", "extra_share_vertex",
+            "extra_too_many", "edge_not_allowed"])
+    def test_validate_rejects_each_bad_certificate(
+        self, g_n, p_n, variant, c_edges, parts, extra
+    ):
+        # g is the plain host plus c_edges; each certificate breaks one rule
+        g = build_host(ConstructionParams(g_n, 5, 2))
+        for u, v in c_edges:
+            g = g.with_edge(u, v)
+        cert = EmbeddingCertificate(
+            ConstructionParams(p_n, 5, 2, variant), tuple(parts), extra
+        )
+        assert not validate_embedding(g, cert)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -162,6 +188,39 @@ class TestHostLists:
     def test_matching_hosts(self):
         hosts = matching_hosts(20, 3)
         assert [(p.k, p.a) for p in hosts] == [(7, 3), (7, 2)]
+
+
+class TestThresholds:
+    @staticmethod
+    def written_out(n, big_k, r, d):
+        # max(h_r(n, K, d), h_r(n, K, floor((K - 5) / 2)))
+        def h(a):
+            return math.comb(big_k - a, r) + (n - big_k + a) * math.comb(a, r - 1)
+
+        return max(h(d), h((big_k - 5) // 2))
+
+    @pytest.mark.parametrize("threshold, ks, forest_k", [
+        (stability_threshold, range(5, 10), lambda k: k),
+        (matching_stability_threshold, range(2, 5), lambda k: 2 * k + 1),
+    ], ids=["stability", "matching"])
+    def test_against_written_out_formula(self, threshold, ks, forest_k):
+        for k in ks:
+            big_k = forest_k(k)
+            for n in (big_k + 1, 24):
+                for r in range(2, 5):
+                    for d in range((big_k - 1) // 2 + 1):
+                        assert threshold(n, k, r, d) == self.written_out(
+                            n, big_k, r, d
+                        ), (n, k, r, d)
+
+    @pytest.mark.parametrize("threshold, k, message", [
+        (stability_threshold, 4, "stability threshold needs k >= 5"),
+        (matching_stability_threshold, 1,
+         "matching stability threshold needs k >= 2"),
+    ], ids=["stability", "matching"])
+    def test_small_k_refused(self, threshold, k, message):
+        with pytest.raises(ValueError, match=message):
+            threshold(24, k, 2, 0)
 
 
 class TestClassifyStability:
@@ -224,6 +283,15 @@ class TestSuites:
         rows = matching_stability_suite(3, 20, samples=3, seed=1)
         assert all(row.verdict == "pass" for row in rows)
 
+    @pytest.mark.parametrize("suite, k, theorem", [
+        (stability_suite, 7, "theorem4"),
+        (matching_stability_suite, 3, "theorem7"),
+    ], ids=["theorem4", "theorem7"])
+    def test_r_below_two_refused(self, suite, k, theorem):
+        # N_1 = n = h_1(n, K, a) for every graph, so r = 1 has no check
+        with pytest.raises(ValueError, match=f"{theorem}: r must be at least 2, got 1"):
+            suite(k, 20, r_values=[3, 1])
+
     def test_suite_deterministic(self):
         a = stability_suite(8, 21, samples=4, seed=9)
         b = stability_suite(8, 21, samples=4, seed=9)
@@ -249,4 +317,19 @@ class TestSuites:
         monkeypatch.setattr(suite_module, name, record)
         suite(k, 24, samples=5, seed=3)
         text = "\n".join(seen) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, digest", [
+        (12, "84d2882e89ef851f2abe02d38f0bcc1d3b3850a1c4d6ea22f9094ab5d557209a"),
+        (24, "e76fcd4265649804b0f170430192b10ecaa0c7e2c22f71eafb46dd23088362af"),
+    ])
+    def test_forbidden_edges_pinned(self, n, digest):
+        # report rows count the perturbations only, and the sampled-graph pin
+        # sees a perturbed host only when it stays in the family
+        hosts = [p for k in range(5, 10) for p in listed_hosts(n, k)]
+        hosts += [p for k in range(2, 5) for p in matching_hosts(n, k)]
+        text = "".join(
+            f"{host_label(p)} {_forbidden_edges(build_host(p), p, random.Random(0))}\n"
+            for p in hosts
+        )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
