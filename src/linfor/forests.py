@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphcore import Graph, disjoint_union, iter_bits
+from .graphcore import Graph, disjoint_union
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -88,24 +88,21 @@ def is_linear_forest(n: int, edges: list[tuple[int, int]]) -> bool:
 
 
 def _twin_classes_rows(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    parent = list(range(n))
-    by_false: dict[int, int] = {}
-    by_true: dict[int, int] = {}
+    # No vertex has twins of both kinds: if u, v are false twins and w is a
+    # true twin of v, then w ∈ N(v) = N(u), so u ∈ N[w] = N[v], yet u ≁ v.
+    # So vertices with a false twin are done, and the rest group by N[v].
+    by_row: dict[int, list[int]] = {}
     for v in range(n):
-        kf = rows[v]
-        kt = rows[v] | (1 << v)
-        if kf in by_false:
-            parent[_find(parent, v)] = _find(parent, by_false[kf])
+        by_row.setdefault(rows[v], []).append(v)
+    classes = []
+    by_closed: dict[int, list[int]] = {}
+    for vs in by_row.values():
+        if len(vs) > 1:
+            classes.append(tuple(vs))
         else:
-            by_false[kf] = v
-        if kt in by_true:
-            parent[_find(parent, v)] = _find(parent, by_true[kt])
-        else:
-            by_true[kt] = v
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(_find(parent, v), []).append(v)
-    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda c: c[0])
+            by_closed.setdefault(rows[vs[0]] | 1 << vs[0], []).append(vs[0])
+    classes += map(tuple, by_closed.values())
+    return sorted(classes)
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -276,14 +273,17 @@ def matching_number(g: Graph) -> MatchingResult:
     """Exact maximum matching via augmenting paths with blossom contraction.
 
     Roots are scanned in ascending vertex order and neighbors in ascending
-    index order, so the returned matching is deterministic.
+    index order, so the returned matching is deterministic.  When the search
+    from a root fails, its alternating tree is a Hungarian tree: no later
+    augmenting path meets it, so its vertices are skipped from then on
+    (Edmonds, "Paths, trees, and flowers", 1965).
     """
     n = g.n
-    match = [-1] * n
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    blossom = [False] * n
+    adj = g.adj
+    unset, own, clear = [-1] * n, list(range(n)), [False] * n
+    match, p, base = unset[:], unset[:], own[:]
+    used, blossom = clear[:], clear[:]
+    live = (1 << n) - 1  # vertices outside every Hungarian tree so far
 
     def lca(a: int, b: int) -> int:
         mark = [False] * n
@@ -308,21 +308,23 @@ def matching_number(g: Graph) -> MatchingResult:
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            p[i] = -1
-            base[i] = i
+        used[:] = clear
+        p[:] = unset
+        base[:] = own
         used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in iter_bits(g.adj[v]):
+            nbrs = adj[v] & live
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                to = low.bit_length() - 1
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
+                    blossom[:] = clear
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
                     for i in range(n):
@@ -347,8 +349,13 @@ def matching_number(g: Graph) -> MatchingResult:
 
     size = 0
     for v in range(n):
-        if match[v] == -1 and find_path(v):
-            size += 1
+        if match[v] == -1:
+            if find_path(v):
+                size += 1
+            else:
+                for i in range(n):
+                    if used[i] or p[i] != -1:
+                        live &= ~(1 << i)
     witness = tuple((v, match[v]) for v in range(n) if v < match[v])
     return MatchingResult(size, witness)
 

@@ -52,18 +52,23 @@ class Graph:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
-        if len(self.adj) != self.n:
+        adj = self.adj
+        if len(adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} mentions vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     # -- constructors ------------------------------------------------------
 

@@ -35,32 +35,34 @@ class EmbeddingCertificate:
 def validate_embedding(g: Graph, cert: EmbeddingCertificate) -> bool:
     """Check the certificate against its invariants on g."""
     p = cert.params
-    if g.n != p.n or len(cert.parts) != g.n:
+    n = g.n
+    if n != p.n or len(cert.parts) != n:
         return False
-    a_count = cert.parts.count("A")
-    b_count = cert.parts.count("B")
-    if a_count != p.a or b_count != p.b_size:
-        return False
-    extra = set()
-    used = set()
-    for u, v in cert.extra_edges:
-        if cert.parts[u] != "C" or cert.parts[v] != "C":
+    masks = {"A": 0, "B": 0, "C": 0}
+    for v, part in enumerate(cert.parts):
+        if part not in masks:
             return False
-        if u in used or v in used:
-            return False  # extra edges must be independent
-        used.update((u, v))
-        extra.add((min(u, v), max(u, v)))
+        masks[part] |= 1 << v
+    amask, bmask, cmask = masks["A"], masks["B"], masks["C"]
+    if amask.bit_count() != p.a or bmask.bit_count() != p.b_size:
+        return False
     if len(cert.extra_edges) > p.extra_edge_count:
         return False
-    for u, v in g.edges():
-        pu, pv = cert.parts[u], cert.parts[v]
-        if pu == "A" or pv == "A":
-            continue
-        if pu == "B" and pv == "B":
-            continue
-        if pu == "C" and pv == "C" and (min(u, v), max(u, v)) in extra:
-            continue
-        return False
+    extra = [0] * n  # the C-edge partner of each vertex, as a mask
+    for u, v in cert.extra_edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return False
+        pair = 1 << u | 1 << v
+        if pair & ~cmask or extra[u] or extra[v]:
+            return False  # extra edges join C vertices and are independent
+        extra[u], extra[v] = 1 << v, 1 << u
+    b_allowed = amask | bmask
+    for v, row in enumerate(g.adj):
+        if bmask >> v & 1:
+            if row & ~b_allowed:
+                return False
+        elif cmask >> v & 1 and row & ~(amask | extra[v]):
+            return False
     return True
 
 
@@ -71,18 +73,19 @@ def host_label(p: ConstructionParams) -> str:
 
 def _components(g: Graph, alive: int) -> list[int]:
     """Connected components (as bitmasks) of the subgraph induced on alive."""
+    adj = g.adj
     comps = []
     todo = alive
     while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
+        comp = frontier = todo & -todo
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.adj[v] & alive & ~comp
-            comp |= grow
-            frontier = grow
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & alive & ~comp
+            comp |= frontier
         comps.append(comp)
         todo &= ~comp
     return comps
@@ -160,8 +163,8 @@ def embeds_in_host(
     cap_c = p.a + (1 if p.extra_edge_count else 0)
     non_a_cap = max(cap_b, cap_c) if p.n > p.a else -1
     forced = 0
-    for v in range(g.n):
-        if g.degree(v) > non_a_cap:
+    for v, row in enumerate(g.adj):
+        if row.bit_count() > non_a_cap:
             forced |= 1 << v
     if forced.bit_count() > p.a:
         return None
@@ -281,7 +284,7 @@ def classify_family(
 ) -> StabilityReport:
     """Threshold test, then embedding attempts into the family's hosts."""
     n = g.n
-    mind = min((g.degree(v) for v in range(n)), default=0)
+    mind = min((row.bit_count() for row in g.adj), default=0)
     if mind < d:
         raise ValueError(f"min degree {mind} below required d = {d}")
     nu = matching_number(g).size if family.measure_nu else None

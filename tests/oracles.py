@@ -3,7 +3,7 @@
 These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
-subsets), matchings by a subset DP.
+subsets), matchings by a subset DP, twin classes by a pairwise row test.
 """
 
 from __future__ import annotations
@@ -144,6 +144,20 @@ def embeds_in_host_naive(g: Graph, p) -> bool:
             if disjoint:
                 return True
     return False
+
+
+def twin_classes_naive(g: Graph) -> list[tuple[int, ...]]:
+    """Twin classes from the pairwise test: u ~ v iff their rows agree once
+    each is cleared of the other.  Each vertex's class is every vertex it
+    passes the test with, so a relation that failed to be transitive would
+    give overlapping classes rather than a partition."""
+    classes = set()
+    for v in range(g.n):
+        classes.add(tuple(
+            u for u in range(g.n)
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+        ))
+    return sorted(classes)
 
 
 def matching_subset_dp(g: Graph) -> int:

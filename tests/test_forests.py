@@ -19,13 +19,20 @@ from linfor import (
     is_lk_free,
     matching_number,
     max_linear_forest,
+    twin_classes,
 )
 from linfor.canon import refined_canonical_key
 from linfor.verify import graph_profiles
 from linfor.verify import embeds_in_host, stability_suite
-from linfor.verify.stability import listed_hosts
+from linfor.verify.stability import listed_hosts, matching_hosts
+from linfor.verify.suite import _forbidden_edges
 
-from .oracles import lf_edge_subsets, lf_subset_dp, matching_subset_dp
+from .oracles import (
+    lf_edge_subsets,
+    lf_subset_dp,
+    matching_subset_dp,
+    twin_classes_naive,
+)
 
 # sha256 of repr([(size, witness), ...]) over the graphs of
 # test_witnesses_match_pinned_digests, captured when the witness was rebuilt
@@ -33,6 +40,16 @@ from .oracles import lf_edge_subsets, lf_subset_dp, matching_subset_dp
 PINNED_WITNESS_DIGESTS = {
     "random": "406fb8f1a01202d2779c3be0d23e771ab1b0e07993eaab58d368e6c391dd0a10",
     "hosts": "da48afabbf03f51885caae9cee40276527b8cb5aaf9715652ba011247b568b3c",
+}
+
+
+# sha256 of repr([(size, witness), ...]) of matching_number over the graphs
+# of _matching_pin_graphs, captured before the blossom search skipped the
+# vertices of failed searches' alternating trees
+PINNED_MATCHING_DIGESTS = {
+    "random": "68c7024bca036906c86028da4c291b70b1effea56c9203409c94f64b8f433999",
+    "hosts": "4f4847276db56c027d36a2288576f4fb68d9ad6b1babf0241ff8057515c64489",
+    "perturbed": "d86ddfb680326bb3696f67072fe9b1e24db89f2bddcdbfda5cd2d4d63318eb85",
 }
 
 
@@ -112,6 +129,19 @@ class TestMaxLinearForest:
                 max_linear_forest(disjoint_union(g, h)).size
                 == max_linear_forest(g).size + max_linear_forest(h).size
             )
+
+
+class TestTwinClasses:
+    def test_pairwise_oracle_exhaustive(self):
+        for n in range(7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = Graph.from_edge_mask(n, mask)
+                assert twin_classes(g) == twin_classes_naive(g), (n, mask)
+
+    def test_pairwise_oracle_on_hosts(self):
+        for p in _host_params(30):
+            g = build_host(p)
+            assert twin_classes(g) == twin_classes_naive(g), p
 
 
 class TestIsLkFree:
@@ -222,12 +252,45 @@ class TestMatching:
             g = random_graph(n, rng, rng.random())
             assert matching_number(g).size == matching_subset_dp(g)
 
+    def test_witnesses_match_pinned_digests(self):
+        got = {}
+        for name, gs in _matching_pin_graphs().items():
+            res = [(r.size, r.witness) for r in map(matching_number, gs)]
+            got[name] = hashlib.sha256(repr(res).encode()).hexdigest()
+        assert got == PINNED_MATCHING_DIGESTS
+
     def test_blossom_heavy_cases(self):
         # odd cycles glued at a vertex exercise contraction
         g = Graph.from_edges(
             9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (0, 6), (6, 7), (7, 8), (8, 6)]
         )
         assert matching_number(g).size == matching_subset_dp(g)
+
+
+def _host_params(n):
+    """Every listed host for k = 5..9 and every matching host for k = 2..4."""
+    return [p for k in range(5, 10) for p in listed_hosts(n, k)] + [
+        p for k in range(2, 5) for p in matching_hosts(n, k)
+    ]
+
+
+def _matching_pin_graphs():
+    """Seeded G(n, p) graphs with n <= 24, every listed and matching host at
+    n = 30, and each of those hosts with one forbidden edge added."""
+    rng = random.Random(71)
+    params = _host_params(30)
+    hosts = [build_host(p) for p in params]
+    return {
+        "random": [
+            random_graph(rng.randint(0, 24), rng, rng.random()) for _ in range(300)
+        ],
+        "hosts": hosts,
+        "perturbed": [
+            host.with_edge(u, v)
+            for host, p in zip(hosts, params)
+            for u, v in _forbidden_edges(host, p, random.Random(0))
+        ],
+    }
 
 
 class TestGExtremal:

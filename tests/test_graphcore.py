@@ -29,6 +29,22 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("n, rows, message", [
+        (65, (0,) * 65, "vertex count 65 outside [0, 64]"),
+        (3, (0, 0), "adjacency row count does not match n"),
+        (3, (0, 0b1000, 0), "row 1 mentions vertices >= n"),
+        # the self-loop is named before the asymmetry it also makes
+        (3, (0b010, 0b010, 0), "self-loop at vertex 1"),
+        (3, (0b010, 0, 0), "asymmetric adjacency between 1 and 0"),
+        # stored only in row 1's lower half: 0 is in row 1, 1 is not in row 0
+        (3, (0, 0b001, 0), "asymmetric adjacency between 0 and 1"),
+    ], ids=["n_range", "row_count", "row_range", "self_loop", "upper_half",
+            "lower_half"])
+    def test_rejection_messages(self, n, rows, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, rows)
+        assert str(exc.value) == message
+
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
             Graph.empty(65)

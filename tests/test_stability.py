@@ -128,8 +128,13 @@ class TestEmbedsInHost:
         (10, 10, "plusplus", [(3, 4), (4, 5)], "AABCCCCCCC", ((3, 4), (4, 5))),
         (10, 10, "plus", [(3, 4), (5, 6)], "AABCCCCCCC", ((3, 4), (5, 6))),
         (8, 8, "plain", [(3, 4)], "AABCCCCC", ()),
+        (10, 10, "plain", [], "AABCCCCCCZ", ()),
+        (10, 10, "plus", [], "AABCCCCCCC", ((9, 9),)),
+        (10, 10, "plus", [], "AABCCCCCCC", ((-1, 8),)),
+        (10, 10, "plus", [], "AABCCCCCCC", ((3, 10),)),
     ], ids=["graph_n", "parts_length", "extra_leaves_c", "extra_share_vertex",
-            "extra_too_many", "edge_not_allowed"])
+            "extra_too_many", "edge_not_allowed", "part_label", "extra_loop",
+            "extra_negative_end", "extra_end_past_n"])
     def test_validate_rejects_each_bad_certificate(
         self, g_n, p_n, variant, c_edges, parts, extra
     ):
@@ -318,6 +323,28 @@ class TestSuites:
         suite(k, 24, samples=5, seed=3)
         text = "\n".join(seen) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite, k, name, digest", [
+        (stability_suite, 7, "classify_stability",
+         "f8e89d8d161fada99fe6b0ffa89f60b7bd0b0b93fd32f67891beb90f71590892"),
+        (matching_stability_suite, 3, "classify_matching_stability",
+         "8b1116f1214b9662d8c5a25b737d28efb94bd6dc1e14f3e5f151eff78a54795c"),
+    ], ids=["theorem4", "theorem7"])
+    def test_reports_pinned(self, monkeypatch, suite, k, name, digest):
+        # the whole report of every classification the suite makes: each
+        # attempt's certificate, nu and the min degree
+        import linfor.verify.suite as suite_module
+
+        reports = []
+        inner = getattr(suite_module, name)
+
+        def record(g, *args, **kwargs):
+            reports.append(inner(g, *args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(suite_module, name, record)
+        suite(k, 24, samples=5, seed=3)
+        assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, digest", [
         (12, "84d2882e89ef851f2abe02d38f0bcc1d3b3850a1c4d6ea22f9094ab5d557209a"),
