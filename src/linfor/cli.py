@@ -22,14 +22,6 @@ from .verify.theorems import MATCHING, ORACLE_THEOREMS, check_input_graph, famil
 
 THEOREMS = [f"theorem{i}" for i in range(1, 8)]
 
-# exhaustive oracles: theorem -> (default r, also with --in; default max n)
-ORACLE_DEFAULTS = {
-    "theorem1": (2, 6),
-    "theorem2": (3, 6),
-    "theorem3": (2, 6),
-    "theorem5": (2, 7),
-    "theorem6": (3, 7),
-}
 # construction-side suites: theorem -> (suite, default k)
 SUITES = {"theorem4": (stability_suite, 7), "theorem7": (matching_stability_suite, 3)}
 
@@ -92,9 +84,13 @@ def _check_flags(args) -> None:
     theorem = args.theorem
     if args.dedup and (args.input is not None or theorem not in ORACLE_THEOREMS):
         raise ValueError("--dedup applies only to the exhaustive oracles")
+    if args.n is not None and args.input is not None:
+        raise ValueError("--n does not apply with --in (each graph has its own n)")
     if theorem not in ORACLE_THEOREMS:
         return
-    _, _, any_r, with_d = ORACLE_THEOREMS[theorem]
+    if args.samples is not None or args.seed is not None:
+        raise ValueError("--samples and --seed apply only to theorems 4 and 7")
+    _, _, any_r, with_d, _, _ = ORACLE_THEOREMS[theorem]
     if args.r is not None and not any_r:
         raise ValueError(f"{theorem} counts edges and takes no --r")
     if args.r == 2 and not with_d:  # theorem2: its oracle rows would be theorem1's
@@ -110,7 +106,9 @@ def _verify_rows(args) -> list:
     if args.input is not None:
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
-        r = args.r if args.r is not None else ORACLE_DEFAULTS.get(theorem, (2,))[0]
+        # check_input_graph refuses a theorem that has no oracle, hence no r
+        r_default = ORACLE_THEOREMS[theorem][4] if theorem in ORACLE_THEOREMS else 2
+        r = args.r if args.r is not None else r_default
         for g in _read_graphs(args.input):
             rows.append(
                 check_input_graph(g, theorem, args.k, r, args.d, budget=args.budget)
@@ -118,8 +116,7 @@ def _verify_rows(args) -> list:
         return rows
 
     if theorem in ORACLE_THEOREMS:
-        family, _, _, with_d = ORACLE_THEOREMS[theorem]
-        r_default, n_default = ORACLE_DEFAULTS[theorem]
+        family, _, _, with_d, r_default, n_default = ORACLE_THEOREMS[theorem]
         r = args.r if args.r is not None else r_default
         n_max = args.n if args.n is not None else n_default
         if family is MATCHING:  # k-major, and --k is the largest k
@@ -153,10 +150,10 @@ def _verify_rows(args) -> list:
         n = args.n if args.n is not None else 24
         r_values = [args.r] if args.r is not None else None
         print(f"verify {theorem} construction-side: k={k} n={n}", file=sys.stderr)
-        rows.extend(
-            suite(k, n, r_values=r_values, d=args.d, samples=args.samples,
-                  seed=args.seed, budget=args.budget)
-        )
+        given = {flag: getattr(args, flag) for flag in ("samples", "seed")
+                 if getattr(args, flag) is not None}  # else the suite's defaults
+        rows.extend(suite(k, n, r_values=r_values, d=args.d, budget=args.budget,
+                          **given))
     return rows
 
 
@@ -221,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.add_argument("--dedup", action="store_true",
                     help="enumerate one graph per isomorphism class")
-    pv.add_argument("--samples", type=int, default=5,
-                    help="random subgraph samples per stability host")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--samples", type=int, default=None,
+                    help="random subgraph samples per stability host (default 5)")
+    pv.add_argument("--seed", type=int, default=None,
+                    help="stability sampling seed (default 0)")
     pv.set_defaults(func=_cmd_verify)
     return parser
 

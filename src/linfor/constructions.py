@@ -56,6 +56,27 @@ class ConstructionParams:
         return _EXTRA_EDGES[self.variant]
 
 
+def listed_hosts(n: int, k: int) -> list[ConstructionParams]:
+    """The stability host list for forest parameter k (parity-dependent)."""
+    mid = (k - 3) // 2
+    hosts = [
+        ConstructionParams(n, k, (k - 1) // 2),
+        ConstructionParams(n, k, mid),
+        ConstructionParams(n, k - 1, mid, "plus"),
+    ]
+    if k % 2 == 0:
+        hosts.append(ConstructionParams(n, k - 2, mid, "plusplus"))
+    return hosts
+
+
+def matching_hosts(n: int, k: int) -> list[ConstructionParams]:
+    """The matching-stability host list for matching bound k."""
+    return [
+        ConstructionParams(n, 2 * k + 1, k),
+        ConstructionParams(n, 2 * k + 1, k - 1),
+    ]
+
+
 def binomial(n: int, r: int) -> int:
     """Exact C(n, r); zero outside 0 <= r <= n."""
     if r < 0 or n < 0 or r > n:

@@ -12,10 +12,10 @@ which keeps the search tiny on host-like inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..cliques import count_cliques
-from ..constructions import ConstructionParams, h_r
+# the host lists live with the constructions and are re-exported here
+from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
 from ..forests import BudgetExceeded, matching_number, twin_classes
 from ..graphcore import Graph, iter_bits
 from .theorems import LK_FREE, MATCHING, Family
@@ -223,64 +223,21 @@ class StabilityReport:
         return self.certificate is not None
 
 
-def listed_hosts(n: int, k: int) -> list[ConstructionParams]:
-    """The stability host list for forest parameter k (parity-dependent)."""
-    mid = (k - 3) // 2
-    hosts = [
-        ConstructionParams(n, k, (k - 1) // 2),
-        ConstructionParams(n, k, mid),
-        ConstructionParams(n, k - 1, mid, "plus"),
-    ]
-    if k % 2 == 0:
-        hosts.append(ConstructionParams(n, k - 2, mid, "plusplus"))
-    return hosts
-
-
-def matching_hosts(n: int, k: int) -> list[ConstructionParams]:
-    """The matching-stability host list for matching bound k."""
-    return [
-        ConstructionParams(n, 2 * k + 1, k),
-        ConstructionParams(n, 2 * k + 1, k - 1),
-    ]
-
-
-@dataclass(frozen=True)
-class StabilityFamily:
-    """What tells theorem 4 from its matching application, theorem 7."""
-
-    kind: str  # StabilityReport.kind
-    min_k: int
-    base: Family  # the hypothesis family, hence the forest parameter K
-    hosts: Callable[[int, int], list[ConstructionParams]]
-    measure_nu: bool  # report the matching number
-
-    def require_k(self, k: int, what: str) -> None:
-        if k < self.min_k:
-            name = self.kind.replace("_", " ")
-            raise ValueError(f"{name} {what} needs k >= {self.min_k}")
-
-
-STABILITY = StabilityFamily("stability", 5, LK_FREE, listed_hosts, False)
-MATCHING_STABILITY = StabilityFamily(
-    "matching_stability", 2, MATCHING, matching_hosts, True
-)
-
-
-def family_threshold(family: StabilityFamily, n: int, k: int, r: int, d: int) -> int:
+def family_threshold(family: Family, n: int, k: int, r: int, d: int) -> int:
     family.require_k(k, "threshold")
-    return family.base.formula(n, k, r, d, family.base.stability_a(k))
+    return family.formula(n, k, r, d, family.stability_a(k))
 
 
 def stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    return family_threshold(STABILITY, n, k, r, d)
+    return family_threshold(LK_FREE, n, k, r, d)
 
 
 def matching_stability_threshold(n: int, k: int, r: int, d: int) -> int:
-    return family_threshold(MATCHING_STABILITY, n, k, r, d)
+    return family_threshold(MATCHING, n, k, r, d)
 
 
 def classify_family(
-    family: StabilityFamily, g: Graph, k: int, r: int, d: int, budget: int
+    family: Family, g: Graph, k: int, r: int, d: int, budget: int
 ) -> StabilityReport:
     """Threshold test, then embedding attempts into the family's hosts."""
     n = g.n
@@ -295,7 +252,7 @@ def classify_family(
     if above:
         for p in family.hosts(n, k):
             attempts.append((p, embeds_in_host(g, p, budget=budget)))
-    hk = family.base.forest_k(k)
+    hk = family.forest_k(k)
     return StabilityReport(
         family.kind, n, k, r, d, nr, threshold, above,
         n > hk**5, threshold == h_r(n, hk, d, r),
@@ -312,7 +269,7 @@ def classify_stability(
     min degree is rechecked).  The asymptotic-size hypothesis is reported,
     not enforced, since desk-scale runs intentionally sit below it.
     """
-    return classify_family(STABILITY, g, k, r, d, budget)
+    return classify_family(LK_FREE, g, k, r, d, budget)
 
 
 def classify_matching_stability(
@@ -324,4 +281,4 @@ def classify_matching_stability(
     outside the theorem's hypothesis, so no conclusion is claimed for it
     (the threshold and attempts are still reported for inspection).
     """
-    return classify_family(MATCHING_STABILITY, g, k, r, d, budget)
+    return classify_family(MATCHING, g, k, r, d, budget)

@@ -12,24 +12,20 @@ rows are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
-from ..forests import DEFAULT_BUDGET, matching_number, max_linear_forest
+from ..forests import DEFAULT_BUDGET
 from ..graphcore import Graph, to_graph6
 from .stability import (
-    MATCHING_STABILITY,
-    STABILITY,
-    StabilityFamily,
     StabilityReport,
     classify_matching_stability,
     classify_stability,
     family_threshold,
     host_label,
 )
-from .theorems import TheoremReport
+from .theorems import LK_FREE, MATCHING, Family, TheoremReport
 
 
 def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
@@ -70,60 +66,31 @@ def _delete_random_edges(
     return Graph(host.n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
-    """The suite side of a stability family.  The callables look linfor's
-    functions up by module name when called, so patched names see the calls."""
-
-    family: StabilityFamily
-    theorem: str
-    classify: Callable[..., StabilityReport]  # (g, k, r, d)
-    bound: Callable[[Graph, int, int], tuple[int, int]]  # (host, k, budget)
-    bound_note: str
-    breaks_note: str
-
-
-THEOREM4 = SuiteSpec(
-    STABILITY, "theorem4",
-    lambda g, k, r, d: classify_stability(g, k, r, d),
-    lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
-    "exact max linear forest <= k-1",
-    "freeness",
-)
-THEOREM7 = SuiteSpec(
-    MATCHING_STABILITY, "theorem7",
-    lambda g, k, r, d: classify_matching_stability(g, k, r, d),
-    lambda host, k, budget: (k, matching_number(host).size),
-    "matching number <= k",
-    "matching bound",
-)
-
-
 def _run_suite(
-    spec: SuiteSpec,
-    k: int,
-    n: int,
-    r_values: list[int] | None,
-    d: int | None,
-    samples: int,
-    seed: int,
-    budget: int,
+    family: Family, classify: Callable[..., StabilityReport], k: int, n: int,
+    r_values: list[int] | None, d: int | None, samples: int, seed: int, budget: int,
 ) -> list[TheoremReport]:
-    family, theorem = spec.family, spec.theorem
+    """The suite's rows; classify is the family's classifier, (g, k, r, d)."""
+    theorem = family.suite_theorem
     family.require_k(k, "suite")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if r_values is None:
-        r_values = list(range(2, (family.base.forest_k(k) - 3) // 2 + 1))
+        r_values = list(range(2, (family.forest_k(k) - 3) // 2 + 1))
     elif min(r_values, default=2) < 2:
         # N_1 = n = h_1(n, K, a) for every graph, so no graph clears r = 1
         raise ValueError(f"{theorem}: r must be at least 2, got {min(r_values)}")
-    dd = family.base.stability_a(k) if d is None else d
+    a = family.stability_a(k)
+    dd = a if d is None else d
+    if not 0 <= dd <= a:
+        # above a some listed host has a part A of size <= d: its count is at
+        # most the degree term h_r(n, K, d), or its min degree is below d
+        raise ValueError(f"{theorem}: min degree must lie in 0..{a}, got {dd}")
     rng = random.Random(seed)
     rows: list[TheoremReport] = []
 
     def certifies(g: Graph, d: int) -> int:
-        rep = spec.classify(g, k, 2, d)
+        rep = classify(g, k, 2, d)
         return int(rep.above_threshold and rep.embedded)
 
     for p in family.hosts(n, k):
@@ -131,9 +98,9 @@ def _run_suite(
         host = build_host(p)
         rows.append(
             TheoremReport(
-                theorem, n, k, 0, dd, "bound", *spec.bound(host, k, budget),
+                theorem, n, k, 0, dd, "bound", *family.bound(host, k, budget),
                 (to_graph6(host),) if n <= 62 else (),
-                note=f"{label}: {spec.bound_note}",
+                note=f"{label}: {family.bound_note}",
             )
         )
         for r in r_values:
@@ -166,13 +133,13 @@ def _run_suite(
         cands = _forbidden_edges(host, p, rng)
         for u, v in cands:
             g3 = host.with_edge(u, v)
-            kept = family.base.contains(g3, k, None, budget)
+            kept = family.contains(g3, k, None, budget)
             perturb_ok += certifies(g3, 0) if kept else 1
         rows.append(
             TheoremReport(
                 theorem, n, k, 2, 0, "equality", len(cands), perturb_ok,
                 note=(
-                    f"{label}: forbidden edge breaks {spec.breaks_note}"
+                    f"{label}: forbidden edge breaks {family.breaks_note}"
                     " or still certifies"
                 ),
             )
@@ -190,7 +157,9 @@ def stability_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the stability classification at (k, n)."""
-    return _run_suite(THEOREM4, k, n, r_values, d, samples, seed, budget)
+    return _run_suite(
+        LK_FREE, classify_stability, k, n, r_values, d, samples, seed, budget
+    )
 
 
 def matching_stability_suite(
@@ -203,4 +172,6 @@ def matching_stability_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the matching stability result at (k, n)."""
-    return _run_suite(THEOREM7, k, n, r_values, d, samples, seed, budget)
+    return _run_suite(
+        MATCHING, classify_matching_stability, k, n, r_values, d, samples, seed, budget
+    )

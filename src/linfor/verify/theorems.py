@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from ..cliques import count_cliques
-from ..constructions import h_r
-from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number
+from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
+from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
 from .profile import GraphProfiles, graph_profiles
@@ -69,10 +69,11 @@ def _oracle_max(prof, r, elig, d):
 
 @dataclass(frozen=True)
 class Family:
-    """One hypothesis family of the extremal results: the matching results
-    are the L_K-free ones at K = 2k + 1, since matching number <= k rules out
-    a linear forest of 2k + 1 edges.  All else is derived from K.  The graph
-    tests look linfor's functions up in this module when called, so names
+    """One hypothesis family of the extremal and stability results: the
+    matching results are the L_K-free ones at K = 2k + 1, since matching
+    number <= k rules out a linear forest of 2k + 1 edges.  Formulas, degree
+    ranges and thresholds are derived from K.  The graph tests and the host
+    bound look linfor's functions up in this module when called, so names
     patched here see the calls.
     """
 
@@ -80,9 +81,24 @@ class Family:
     profile_test: Callable[[GraphProfiles, int], np.ndarray]  # (prof, k) -> mask
     graph_test: Callable[[Graph, int, int], bool]  # (g, k, budget)
     hypothesis: str  # for vacuous notes; {k} stands for k
+    # stability classification
+    kind: str  # StabilityReport.kind
+    min_k: int
+    hosts: Callable[[int, int], list[ConstructionParams]]  # (n, k)
+    measure_nu: bool  # report the matching number
+    # construction-side suite
+    suite_theorem: str
+    bound: Callable[[Graph, int, int], tuple[int, int]]  # (host, k, budget)
+    bound_note: str
+    breaks_note: str
 
     def max_d(self, k: int) -> int:
         return (self.forest_k(k) - 1) // 2
+
+    def require_k(self, k: int, what: str) -> None:
+        if k < self.min_k:
+            name = self.kind.replace("_", " ")
+            raise ValueError(f"{name} {what} needs k >= {self.min_k}")
 
     def stability_a(self, k: int) -> int:
         """a of the stability threshold's degree-free term: floor((K-5)/2)."""
@@ -116,21 +132,27 @@ class Family:
 LK_FREE = Family(
     lambda k: k, lambda prof, k: prof.lf < k,
     lambda g, k, budget: is_lk_free(g, k, budget=budget), "L_k-free",
+    "stability", 5, listed_hosts, False, "theorem4",
+    lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
+    "exact max linear forest <= k-1", "freeness",
 )
 MATCHING = Family(
     lambda k: 2 * k + 1, lambda prof, k: prof.nu <= k,
     lambda g, k, budget: matching_number(g).size <= k, "matching number <= {k}",
+    "matching_stability", 2, matching_hosts, True, "theorem7",
+    lambda host, k, budget: (k, matching_number(host).size),
+    "matching number <= k", "matching bound",
 )
 
-# oracle theorem -> (family, kind, takes r != 2, takes a min degree); an
-# oracle row is labelled with the first theorem of its family that takes its
-# r and d
+# oracle theorem -> (family, kind, takes r != 2, takes a min degree, default
+# r, default max n); an oracle row is labelled with the first theorem of its
+# family that takes its r and d
 ORACLE_THEOREMS = {
-    "theorem1": (LK_FREE, "equality", False, False),
-    "theorem2": (LK_FREE, "equality", True, False),
-    "theorem3": (LK_FREE, "bound", True, True),
-    "theorem5": (MATCHING, "equality", False, False),
-    "theorem6": (MATCHING, "bound", True, True),
+    "theorem1": (LK_FREE, "equality", False, False, 2, 6),
+    "theorem2": (LK_FREE, "equality", True, False, 3, 6),
+    "theorem3": (LK_FREE, "bound", True, True, 2, 6),
+    "theorem5": (MATCHING, "equality", False, False, 2, 7),
+    "theorem6": (MATCHING, "bound", True, True, 3, 7),
 }
 
 
@@ -142,7 +164,8 @@ def family_report(
     when d is given) against the extremal formula."""
     d = min_degree
     theorem, kind = next(
-        (theorem, kind) for theorem, (f, kind, any_r, with_d) in ORACLE_THEOREMS.items()
+        (theorem, kind)
+        for theorem, (f, kind, any_r, with_d, *_) in ORACLE_THEOREMS.items()
         if f is family and (any_r or r == 2) and (with_d or d is None)
     )
     # the oracle starts at n = k + 1, past the formula's least n for theorems

@@ -269,9 +269,25 @@ class TestVerify:
          "--dedup applies only to the exhaustive oracles"),
         (("theorem4", "--r", "1"), "theorem4: r must be at least 2, got 1"),
         (("theorem7", "--r", "1"), "theorem7: r must be at least 2, got 1"),
+        # above a = floor((K-5)/2) some listed host cannot clear the threshold
+        (("theorem4", "--d", "2"), "theorem4: min degree must lie in 0..1, got 2"),
+        (("theorem4", "--k", "8", "--d", "2"),
+         "theorem4: min degree must lie in 0..1, got 2"),
+        (("theorem7", "--k", "3", "--d", "2"),
+         "theorem7: min degree must lie in 0..1, got 2"),
+        (("theorem4", "--d", "3"), "theorem4: min degree must lie in 0..1, got 3"),
+        (("theorem4", "--d", "-1"), "theorem4: min degree must lie in 0..1, got -1"),
+        (("theorem1", "--in", "-", "--k", "3", "--n", "99"),
+         "--n does not apply with --in"),
+        (("theorem1", "--n", "4", "--samples", "0"),
+         "--samples and --seed apply only to theorems 4 and 7"),
+        (("theorem1", "--n", "4", "--seed", "3"),
+         "--samples and --seed apply only to theorems 4 and 7"),
     ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
             "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup",
-            "theorem4_r1", "theorem7_r1"])
+            "theorem4_r1", "theorem7_r1", "theorem4_d2", "theorem4_k8_d2",
+            "theorem7_k3_d2", "theorem4_d3", "theorem4_d_negative", "input_n",
+            "theorem1_samples", "theorem1_seed"])
     def test_flag_that_does_not_apply_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2

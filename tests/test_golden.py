@@ -3,8 +3,9 @@
 The goldens in tests/golden/ were captured with
 ``python -m linfor.cli verify <theorem> [options] [--format <fmt>] > <file>``:
 every theorem at the CLI defaults in both formats, theorem4 at k = 8 (the
-even-k ``plusplus`` host), theorem7 at k = 4, and the further oracle,
-``--dedup`` and ``--in`` runs named in ``CASES``.  ``inputs.g6`` holds twelve
+even-k ``plusplus`` host), theorem7 at k = 4, each suite at its family's
+least k (theorem4 at k = 5, theorem7 at k = 2, both with a = 0), and the
+further oracle, ``--dedup`` and ``--in`` runs named in ``CASES``.  ``inputs.g6`` holds twelve
 records with 7 <= n <= 10 drawn from ``random.Random(5)``: lines 1, 3, ...
 are G(n, p) with p in {0.15, 0.3, 0.6}, lines 2, 4, ... are hosts
 H(n, K, a), K in {4, 5}, with each edge deleted with probability 0.2.
@@ -31,6 +32,8 @@ CASES = {
 }
 CASES["theorem4_k8.json"] = ("theorem4", "--k", "8")
 CASES["theorem7_k4.json"] = ("theorem7", "--k", "4")
+CASES["theorem4_k5.json"] = ("theorem4", "--k", "5")  # each family's least k
+CASES["theorem7_k2.json"] = ("theorem7", "--k", "2")
 CASES.update({
     "theorem2_n6_r4.json": ("theorem2", "--n", "6", "--r", "4"),
     "theorem3_n6_r3.json": ("theorem3", "--n", "6", "--r", "3"),
