@@ -10,7 +10,13 @@ Worst case is exponential, which is fine at the desk scales used here.
 
 from __future__ import annotations
 
-from .graphcore import Graph
+from .graphcore import Graph, _twin_classes_rows
+
+
+def _twin_ids(rows: tuple[int, ...]) -> dict[int, int]:
+    """Vertex -> twin class id, shared exactly by twins."""
+    classes = _twin_classes_rows(len(rows), rows)
+    return {v: i for i, cls in enumerate(classes) for v in cls}
 
 
 def _search(
@@ -18,6 +24,7 @@ def _search(
     inv: list[int],
     shift: int,
     degs: list[int],
+    twin: dict[int, int],
     placed: list[int],
     placed_mask: int,
     seq: list[int],
@@ -30,7 +37,8 @@ def _search(
     earliest most significant; its entry packs (block, invariant) as
     ``block << shift | inv[v]``, which orders like the pair since every
     invariant is below ``1 << shift``.  Only candidates with the smallest
-    entry are explored, in (entry, degree, vertex) order.
+    entry are explored, in (entry, degree, vertex) order, and of each twin
+    class (``twin[v]`` is v's class id) only its lowest unplaced vertex.
     """
     level = len(placed)
     if level == len(rows):
@@ -38,21 +46,11 @@ def _search(
             best[:] = seq
         return
     cands: list[tuple[int, int, int]] = []
-    tried: list[int] = []
+    seen = 0  # twin classes with a candidate: twins explore identical subtrees
     for v, row in enumerate(rows):
-        if placed_mask >> v & 1:
+        if placed_mask >> v & 1 or seen >> twin[v] & 1:
             continue
-        # twins of an already-collected candidate explore identical
-        # subtrees: keep one representative
-        dup = False
-        for u in tried:
-            ru = rows[u]
-            if row == ru or row | 1 << v == ru | 1 << u:
-                dup = True
-                break
-        if dup:
-            continue
-        tried.append(v)
+        seen |= 1 << twin[v]
         block = 0
         for u in placed:
             block = block << 1 | (row >> u & 1)
@@ -66,7 +64,7 @@ def _search(
             continue
         seq.append(entry)
         placed.append(v)
-        _search(rows, inv, shift, degs, placed, placed_mask | 1 << v, seq, best)
+        _search(rows, inv, shift, degs, twin, placed, placed_mask | 1 << v, seq, best)
         placed.pop()
         seq.pop()
 
@@ -82,7 +80,8 @@ def canonical_blocks(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     if n <= 1:
         return ()
     best: list[int] = []
-    _search(rows, [0] * n, 0, [row.bit_count() for row in rows], [], 0, [], best)
+    degs = [row.bit_count() for row in rows]
+    _search(rows, [0] * n, 0, degs, _twin_ids(rows), [], 0, [], best)
     return tuple(best[1:])  # level 0 contributes an empty block
 
 
@@ -107,7 +106,7 @@ def refined_canonical_key(n: int, rows: tuple[int, ...]) -> tuple:
     order = {val: i for i, val in enumerate(sorted(set(raw)))}
     shift = len(order).bit_length()
     best: list[int] = []
-    _search(rows, [order[x] for x in raw], shift, degs, [], 0, [], best)
+    _search(rows, [order[x] for x in raw], shift, degs, _twin_ids(rows), [], 0, [], best)
     return tuple((e >> shift, e & ((1 << shift) - 1)) for e in best)
 
 

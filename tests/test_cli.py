@@ -8,6 +8,8 @@ import pytest
 
 from linfor.cli import main
 
+BUDGET_ONLY = "--budget applies only to theorem4 and --in on theorems 1-3"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -140,18 +142,11 @@ class TestVerify:
         assert lines[0].startswith("theorem,n,k,r,d,")
         assert len(lines) >= 2
 
-    def test_reports_byte_identical_across_threads(self, capsys, tmp_path):
-        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        code1, _, _ = run(
-            capsys, "verify", "theorem1", "--n", "6", "--threads", "1",
-            "--out", str(f1),
-        )
-        code2, _, _ = run(
-            capsys, "verify", "theorem1", "--n", "6", "--threads", "4",
-            "--out", str(f2),
-        )
-        assert code1 == code2 == 0
-        assert f1.read_bytes() == f2.read_bytes()
+    def test_threads_flag_is_a_usage_error(self):
+        # --threads never acted and is gone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "theorem1", "--n", "3", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_stability_suite_runs(self, capsys, tmp_path):
         out_file = tmp_path / "t4.json"
@@ -214,6 +209,12 @@ class TestVerify:
             "69ad3bca3a6b863830b7478fc1aa8467bf3397c7822593869b8a41e85500b636"
         )
 
+    def test_stability_suite_honours_budget(self, capsys):
+        code, out, err = run(capsys, "verify", "theorem4", "--budget", "5")
+        assert code == 2
+        assert out == ""
+        assert "budget of 5 states" in err
+
     @pytest.mark.parametrize("argv, message", [
         (("theorem3", "--k", "5", "--d", "2"), "theorem3 needs n >= 6, got n = 5"),
         (("theorem6", "--k", "2", "--d", "1"), "theorem6 needs n >= 6, got n = 5"),
@@ -246,10 +247,14 @@ class TestVerify:
         (("theorem2", "--n", "6", "--k", "3"), [3, 3, 3]),
         (("theorem3", "--n", "5", "--d", "1"), [3, 3, 4]),
         (("theorem6", "--d", "2"), [2, 2]),
-    ], ids=["theorem1_k5", "theorem2_k3", "theorem3_d1", "theorem6_d2"])
+        (("theorem6", "--k", "2", "--d", "2"), [2, 2]),
+        (("theorem6", "--k", "3", "--d", "2"), [2, 2]),
+    ], ids=["theorem1_k5", "theorem2_k3", "theorem3_d1", "theorem6_d2",
+            "theorem6_k2_d2", "theorem6_k3_d2"])
     def test_oracle_grid_starts_at_least_n(self, capsys, argv, ks):
-        # each k's n range starts where its oracle is defined, and without
-        # --k a --d skips the k whose d range excludes it
+        # each k's n range starts where its oracle is defined, and unless --k
+        # fixes one k (on theorems 5 and 6 it is the largest) a --d skips the
+        # k whose d range excludes it
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         reports = json.loads(out)["reports"]
@@ -283,11 +288,28 @@ class TestVerify:
          "--samples and --seed apply only to theorems 4 and 7"),
         (("theorem1", "--n", "4", "--seed", "3"),
          "--samples and --seed apply only to theorems 4 and 7"),
+        # only the L_k-freeness searches read a budget: no oracle grid's,
+        # and nothing of the matching family's (the dedup oracle keeps its own)
+        (("theorem1", "--n", "4", "--budget", "5"), BUDGET_ONLY),
+        (("theorem3", "--n", "5", "--dedup", "--budget", "5"), BUDGET_ONLY),
+        (("theorem7", "--budget", "5"), BUDGET_ONLY),
+        (("theorem5", "--in", "no-such-file.g6", "--k", "2", "--budget", "5"),
+         BUDGET_ONLY),
+        (("theorem4", "--budget", "0"), "--budget must be positive"),
+        # refused before --k is asked for or the file is opened
+        (("theorem4", "--in", "no-such-file.g6", "--k", "7"),
+         "input-graph mode does not support theorem4"),
+        (("theorem7", "--in", "no-such-file.g6"),
+         "input-graph mode does not support theorem7"),
+        # refused before the first row, not after every row below it
+        (("theorem1", "--n", "9"), "enumeration ceiling is n = 8"),
     ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
             "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup",
             "theorem4_r1", "theorem7_r1", "theorem4_d2", "theorem4_k8_d2",
             "theorem7_k3_d2", "theorem4_d3", "theorem4_d_negative", "input_n",
-            "theorem1_samples", "theorem1_seed"])
+            "theorem1_samples", "theorem1_seed", "theorem1_budget",
+            "theorem3_dedup_budget", "theorem7_budget", "input_theorem5_budget",
+            "theorem4_budget0", "theorem4_in", "theorem7_in", "theorem1_n9"])
     def test_flag_that_does_not_apply_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
@@ -321,11 +343,10 @@ class TestVerify:
 
 
 class TestThreads:
-    def test_env_ignored_and_zero_rejected(self, capsys, monkeypatch):
-        from linfor.cli import build_parser
-
+    def test_env_ignored(self, capsys, monkeypatch):
+        argv = ("verify", "theorem1", "--n", "4")
+        code, plain, _ = run(capsys, *argv)
         monkeypatch.setenv("LINFOR_THREADS", "3")
-        assert build_parser().parse_args(["verify", "theorem1"]).threads == 1
-        code, _, err = run(capsys, "verify", "theorem1", "--n", "3", "--threads", "0")
-        assert code == 2
-        assert "--threads must be at least 1" in err
+        code_env, with_env, _ = run(capsys, *argv)
+        assert code == code_env == 0
+        assert with_env == plain
