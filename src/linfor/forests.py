@@ -3,9 +3,11 @@
 A linear forest is a subgraph whose components are paths; its size is its
 edge count.  A graph is L_k-free iff its maximum linear forest has at most
 k-1 edges.  ``max_linear_forest`` computes that maximum with a witness;
-``is_lk_free`` only decides it.  The decision first brackets lf by the
-blossom matching number, nu <= lf <= 2 nu, and runs the forest search only
-when the bracket leaves k open; that search stops at the first k-edge forest.
+``is_lk_free`` only decides it, in four steps that stop at the first
+answer: nu >= k means not free and 2 nu <= k - 1 means free, since the
+blossom matching number brackets lf as nu <= lf <= 2 nu; a linear forest of
+k or more edges, grown greedily from that matching, means not free; and only
+then the forest search runs, stopping at the first k-edge forest.
 
 The forest search builds paths edge by edge and memoizes on twin-collapsed
 states: vertices with identical neighborhoods (adjacent or not) are
@@ -227,6 +229,36 @@ def max_linear_forest(g: Graph, budget: int = DEFAULT_BUDGET) -> ForestResult:
     return ForestResult(size, tuple(edges))
 
 
+def _greedy_linear_forest(
+    g: Graph, matching: tuple[tuple[int, int], ...]
+) -> list[tuple[int, int]]:
+    """A linear forest of g: the matching plus every edge, in ascending
+    ``(deg u + deg v, u, v)`` order, whose ends both have forest degree
+    below 2 and lie on different paths.
+
+    Low degree sums first keep the hubs free for the sparse ends of the
+    graph.  On the stability suites' hosts with one forbidden edge this
+    order finds a k-edge forest every time; ascending ``(u, v)`` order
+    finds none.
+    """
+    deg = [row.bit_count() for row in g.adj]
+    fdeg = [0] * g.n
+    parent = list(range(g.n))
+    edges = list(matching)
+    for u, v in matching:
+        fdeg[u] = fdeg[v] = 1
+        parent[u] = v
+    for _, u, v in sorted((deg[u] + deg[v], u, v) for u, v in g.edges()):
+        if fdeg[u] < 2 and fdeg[v] < 2:
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                fdeg[u] += 1
+                fdeg[v] += 1
+                edges.append((u, v))
+    return edges
+
+
 def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff g contains no linear forest with exactly k edges.
 
@@ -235,16 +267,24 @@ def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     computing lf: the matching number nu brackets it as nu <= lf <= 2 nu (a
     matching is a linear forest; a path of l edges holds a matching of
     ceil(l/2) edges), so nu >= k means not free and 2 nu <= k - 1 means free.
-    Otherwise the forest search runs and stops at the first k-edge forest.
-    Raises BudgetExceeded when that search passes ``budget`` states.
+    Otherwise a greedy linear forest grown from the maximum matching with k
+    or more edges means not free.  Only then does the forest search run,
+    stopping at the first k-edge forest.
+
+    ``budget`` bounds that search alone and raises BudgetExceeded when it
+    passes ``budget`` states; a graph decided by the bracket or the greedy
+    forest returns its answer whatever the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    nu = matching_number(g).size
+    matching = matching_number(g)
+    nu = matching.size
     if nu >= k:
         return False
     if 2 * nu <= k - 1:
         return True
+    if len(_greedy_linear_forest(g, matching.witness)) >= k:
+        return False
     return _ForestSearch(g, budget, k).run() < k
 
 

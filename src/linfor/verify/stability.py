@@ -157,6 +157,13 @@ def embeds_in_host(
     B/C possibility are forced into A, and remaining slots are filled over
     twin-class count vectors (interchangeable vertices are never permuted).
     """
+    return _embed(g, p, budget, twin_classes(g))
+
+
+def _embed(
+    g: Graph, p: ConstructionParams, budget: int, classes: list[tuple[int, ...]]
+) -> EmbeddingCertificate | None:
+    """embeds_in_host with the twin classes of g given."""
     if g.n != p.n:
         raise ValueError("embedding requires g.n == params.n")
     cap_b = p.a + p.b_size - 1
@@ -171,7 +178,7 @@ def embeds_in_host(
     need = p.a - forced.bit_count()
 
     pool_classes = [
-        [v for v in cls if not forced >> v & 1] for cls in twin_classes(g)
+        [v for v in cls if not forced >> v & 1] for cls in classes
     ]
     pool_classes = [cls for cls in pool_classes if cls]
     for attempts, amask in enumerate(_a_sets(pool_classes, 0, need, forced), 1):
@@ -250,8 +257,9 @@ def classify_family(
     above = nr > threshold
     attempts: list[tuple[ConstructionParams, EmbeddingCertificate | None]] = []
     if above:
+        classes = twin_classes(g)
         for p in family.hosts(n, k):
-            attempts.append((p, embeds_in_host(g, p, budget=budget)))
+            attempts.append((p, _embed(g, p, budget, classes)))
     hk = family.forest_k(k)
     return StabilityReport(
         family.kind, n, k, r, d, nr, threshold, above,

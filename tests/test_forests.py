@@ -21,6 +21,7 @@ from linfor import (
     max_linear_forest,
     twin_classes,
 )
+from linfor import forests
 from linfor.canon import refined_canonical_key
 from linfor.verify import graph_profiles
 from linfor.verify import embeds_in_host, stability_suite
@@ -167,7 +168,7 @@ class TestIsLkFree:
         for n in range(6):
             prof = graph_profiles(n)
             for mask in range(prof.count):
-                g = Graph.from_edge_mask(n, mask)
+                g = _check_greedy_forest(n, mask, prof)
                 for k in range(1, n + 2):
                     assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
 
@@ -176,7 +177,7 @@ class TestIsLkFree:
         for n in (6, 7):
             prof = graph_profiles(n)
             for mask in rng.sample(range(prof.count), 400):
-                g = Graph.from_edge_mask(n, mask)
+                g = _check_greedy_forest(n, mask, prof)
                 for k in range(1, n + 1):
                     assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
 
@@ -187,11 +188,49 @@ class TestIsLkFree:
         with pytest.raises(BudgetExceeded, match="k = 4 exceeded its budget of 1 states"):
             is_lk_free(g, 4, budget=1)
 
+    def test_budget_bounds_only_the_search(self):
+        # K_{1,3} at k = 2: nu = 1 leaves the bracket open, and the greedy
+        # forest from the matching has 2 edges, so no search runs and the
+        # budget that a search would exceed does not bind
+        g = Graph.star(3)
+        assert len(forests._greedy_linear_forest(g, matching_number(g).witness)) == 2
+        assert not is_lk_free(g, 2, budget=1)
+        with pytest.raises(BudgetExceeded):
+            forests._ForestSearch(g, 1, 2).run()
+
+    def test_forbidden_edges_decided_without_search(self, monkeypatch):
+        # every forbidden-edge decision of the stability suites at n = 24 is
+        # settled by the greedy forest, so the forest search never starts
+        def no_search(*args, **kwargs):
+            raise AssertionError("forest search reached")
+
+        monkeypatch.setattr(forests, "_ForestSearch", no_search)
+        decided = 0
+        for k in (7, 8, 9):
+            for p in listed_hosts(24, k):
+                host = build_host(p)
+                for u, v in _forbidden_edges(host, p, random.Random(0)):
+                    assert not is_lk_free(host.with_edge(u, v), k), (p, u, v)
+                    decided += 1
+        assert decided > 0
+
     def test_forest_at_least_matching(self):
         rng = random.Random(43)
         for _ in range(200):
             g = random_graph(rng.randint(1, 8), rng, rng.random())
             assert max_linear_forest(g).size >= matching_number(g).size
+
+
+def _check_greedy_forest(n, mask, prof):
+    """The graph of mask, once its greedy forest is checked to be a linear
+    forest of it with between nu and the profile's lf edges."""
+    g = Graph.from_edge_mask(n, mask)
+    matching = matching_number(g)
+    edges = forests._greedy_linear_forest(g, matching.witness)
+    assert is_linear_forest(n, edges), (n, mask)
+    assert all(g.has_edge(u, v) for u, v in edges), (n, mask)
+    assert matching.size <= len(edges) <= prof.lf[mask], (n, mask)
+    return g
 
 
 def _sample_graph():

@@ -13,6 +13,7 @@ from linfor import (
     build_host,
     disjoint_union,
     to_graph6,
+    twin_classes,
 )
 from linfor.verify import (
     EmbeddingCertificate,
@@ -252,6 +253,22 @@ class TestClassifyStability:
     def test_min_degree_precondition(self):
         with pytest.raises(ValueError):
             classify_stability(Graph.empty(20), 7, 2, 1)
+
+    def test_twin_classes_shared_across_hosts(self, monkeypatch):
+        # one twin-class computation per classified graph, whatever the
+        # number of hosts tried, with the certificates embeds_in_host gives
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return twin_classes(g)
+
+        g = build_host(ConstructionParams(19, 6, 2, "plus"))
+        monkeypatch.setattr("linfor.verify.stability.twin_classes", counted)
+        rep = classify_stability(g, 7, 2, 0)
+        assert len(calls) == 1 and len(rep.attempts) == 3
+        monkeypatch.undo()
+        assert rep.attempts == tuple((p, embeds_in_host(g, p)) for p, _ in rep.attempts)
 
 
 class TestClassifyMatchingStability:
