@@ -113,11 +113,11 @@ def _check_flags(args) -> None:
 def _verify_rows(args) -> list:
     theorem = args.theorem
     _check_flags(args)
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     rows = []
     if args.input is not None:
         if args.k is None:
             raise ValueError("input-graph mode needs --k")
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         r = args.r if args.r is not None else ORACLE_THEOREMS[theorem][4]
         for g in _read_graphs(args.input):
             rows.append(check_input_graph(g, theorem, args.k, r, args.d, budget=budget))
@@ -159,9 +159,9 @@ def _verify_rows(args) -> list:
         n = args.n if args.n is not None else 24
         r_values = [args.r] if args.r is not None else None
         print(f"verify {theorem} construction-side: k={k} n={n}", file=sys.stderr)
-        given = {flag: getattr(args, flag) for flag in ("samples", "seed")
+        given = {flag: getattr(args, flag) for flag in ("samples", "seed", "budget")
                  if getattr(args, flag) is not None}  # else the suite's defaults
-        rows.extend(suite(k, n, r_values=r_values, d=args.d, budget=budget, **given))
+        rows.extend(suite(k, n, r_values=r_values, d=args.d, **given))
     return rows
 
 

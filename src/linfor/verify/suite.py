@@ -169,9 +169,9 @@ def matching_stability_suite(
     d: int | None = None,
     samples: int = 5,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the matching stability result at (k, n)."""
     return _run_suite(
-        MATCHING, classify_matching_stability, k, n, r_values, d, samples, seed, budget
+        MATCHING, classify_matching_stability, k, n, r_values, d, samples, seed,
+        DEFAULT_BUDGET,
     )

@@ -18,7 +18,7 @@ from ..constructions import ConstructionParams, h_r, listed_hosts, matching_host
 from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import GraphProfiles, graph_profiles
+from .profile import GraphProfiles, clique_counts, graph_profiles, min_degrees
 
 WITNESS_CAP = 16
 
@@ -55,16 +55,15 @@ def _witness_strings(n: int, masks: np.ndarray) -> tuple[str, ...]:
     return tuple(to_graph6(Graph.from_edge_mask(n, int(m))) for m in masks)
 
 
-def _oracle_max(prof, r, elig, d):
+def _oracle_max(n, r, elig, d):
     """Max N_r over the masks in elig with min degree >= d, with the first
     WITNESS_CAP maximizing graphs in ascending mask order."""
+    masks = np.flatnonzero(elig).astype(np.uint32)  # C(8, 2) = 28 bits
     if d:
-        elig &= prof.mindeg >= d
-    vals = prof.cliques(r)
-    best = int(vals[elig].max())
-    hits = vals == best
-    hits &= elig
-    return best, _witness_strings(prof.n, np.flatnonzero(hits)[:WITNESS_CAP])
+        masks = masks[min_degrees(n, masks) >= d]
+    vals = clique_counts(n, masks, r)
+    best = int(vals.max())
+    return best, _witness_strings(n, masks[vals == best][:WITNESS_CAP])
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ def family_report(
     if dedup:
         oracle, witnesses = _oracle_max_dedup(family, n, r, k, d)
     else:
-        prof = graph_profiles(n)
-        oracle, witnesses = _oracle_max(prof, r, family.profile_test(prof, k), d)
+        elig = family.profile_test(graph_profiles(n), k)
+        oracle, witnesses = _oracle_max(n, r, elig, d)
     formula = family.formula(n, k, r, d)
     return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
 

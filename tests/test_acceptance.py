@@ -97,12 +97,15 @@ def test_criterion_2_full_n8_run():
         classes = sum(1 for _ in enumerate_graphs(8, dedup=True))
         slow = brute_ex(8, 3, 5, dedup=True)
         prof = graph_profiles(8)
-        slow_masks = [parse_graph6(g6).edge_mask() for g6 in slow.witnesses]
-        slow_ok = bool(slow_masks) and all(
-            prof.lf[m] < 5 and prof.cliques(3)[m] == 10 for m in slow_masks
+        slow_masks = np.array(
+            [parse_graph6(g6).edge_mask() for g6 in slow.witnesses], np.uint32
+        )
+        slow_ok = bool(slow_masks.size) and bool(
+            (prof.lf[slow_masks] < 5).all()
+            and (profile_mod.clique_counts(8, slow_masks, 3) == 10).all()
         )
     finally:
-        profile_mod._cache.pop(8, None)  # the n = 8 arrays hold about 1 GB
+        profile_mod._cache.pop(8, None)  # the n = 8 lf and nu arrays hold 537 MB
     witnesses = [parse_graph6(g6) for g6 in rep.witnesses]
     witnesses_ok = bool(witnesses) and all(
         g.n == 8 and is_lk_free(g, 5) and count_cliques(g, 3) == 10

@@ -25,12 +25,14 @@ from linfor.verify import (
     reports_csv,
     reports_json,
 )
+from linfor.verify.profile import clique_counts, min_degrees
 
 from .oracles import count_cliques_subsets, lf_subset_dp, matching_subset_dp
 
 # sha256 of every uint8 profile array for n = 0..7 ("cliques" lists N_1..N_n),
 # captured from the earlier vertex-subset DP kernel, which computed lf from
-# minimum path covers and nu and N_r by their own subset DPs
+# minimum path covers and nu and N_r by their own subset DPs; mindeg and N_r
+# are now rebuilt by min_degrees and clique_counts over every mask
 PINNED_DIGESTS = {
     0: {
         "lf": "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
@@ -171,23 +173,40 @@ class TestProfiles:
     def test_against_library_functions_exhaustive(self):
         for n in range(0, 5):
             prof = graph_profiles(n)
+            masks = np.arange(prof.count, dtype=np.uint32)
+            mindeg = min_degrees(n, masks)
+            cliques = {r: clique_counts(n, masks, r) for r in range(1, n + 1)}
             for mask in range(prof.count):
                 g = Graph.from_edge_mask(n, mask)
                 assert prof.lf[mask] == max_linear_forest(g).size
                 assert prof.nu[mask] == matching_number(g).size
                 if n:
-                    assert prof.mindeg[mask] == min(g.degree(v) for v in range(n))
+                    assert mindeg[mask] == min(g.degree(v) for v in range(n))
                 for r in range(1, n + 1):
-                    assert prof.cliques(r)[mask] == count_cliques(g, r)
+                    assert cliques[r][mask] == count_cliques(g, r)
 
     def test_against_independent_oracles_sampled(self):
         prof = graph_profiles(6)
+        triangles = clique_counts(6, np.arange(prof.count, dtype=np.uint32), 3)
         rng = random.Random(61)
         for mask in rng.sample(range(prof.count), 300):
             g = Graph.from_edge_mask(6, mask)
             assert prof.lf[mask] == lf_subset_dp(g)
             assert prof.nu[mask] == matching_subset_dp(g)
-            assert prof.cliques(3)[mask] == count_cliques_subsets(g, 3)
+            assert triangles[mask] == count_cliques_subsets(g, 3)
+
+    def test_row_counts_against_independent_oracles_n8(self):
+        # n = 8 lies past the digest pins, so check the per-mask counts there
+        rng = random.Random(83)
+        masks = np.array(rng.sample(range(1 << 28), 300), np.uint32)
+        graphs = [Graph.from_edge_mask(8, int(m)) for m in masks]
+        for r in range(1, 9):
+            assert clique_counts(8, masks, r).tolist() == [
+                count_cliques_subsets(g, r) for g in graphs
+            ], r
+        assert min_degrees(8, masks).tolist() == [
+            min(row.bit_count() for row in g.adj) for g in graphs
+        ]
 
     def test_forest_and_matching_exhaustive_n6(self):
         prof = graph_profiles(6)
@@ -213,11 +232,14 @@ class TestProfiles:
         for n, pinned in PINNED_DIGESTS.items():
             prof = graph_profiles(n)
             assert prof.count == 1 << (n * (n - 1) // 2)
+            masks = np.arange(prof.count, dtype=np.uint32)
             got = {
                 "lf": _sha256(prof.lf),
                 "nu": _sha256(prof.nu),
-                "mindeg": _sha256(prof.mindeg),
-                "cliques": [_sha256(prof.cliques(r)) for r in range(1, n + 1)],
+                "mindeg": _sha256(min_degrees(n, masks)),
+                "cliques": [
+                    _sha256(clique_counts(n, masks, r)) for r in range(1, n + 1)
+                ],
             }
             assert got == pinned, n
 
@@ -250,6 +272,26 @@ class TestBruteEx:
                     fast = brute_ex(n, r, k)
                     slow = brute_ex(n, r, k, dedup=True)
                     assert fast.oracle_value == slow.oracle_value
+
+    def test_array_path_calls_no_library_check(self, monkeypatch):
+        # the oracle must not lean on the functions it is meant to check;
+        # the digests are the parent kernel's reports_json of these rows
+        import linfor.verify.theorems as theorems
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the array oracle called a library check")
+
+        for name in ("count_cliques", "is_lk_free", "matching_number",
+                     "max_linear_forest"):
+            monkeypatch.setattr(theorems, name, refuse)
+        for rep, pinned in (
+            (brute_ex(6, 3, 4, min_degree=1),
+             "fed958ab6bdf1b283598a66090b69cb4c59d33afcb1e8ba9f6b4b0cacf0bdc56"),
+            (brute_ex_matching(6, 3, 2, min_degree=1),
+             "7c2f32775da04a75b97b7dced267a09cddf094ee552482ab177c2954a9e68932"),
+        ):
+            text = reports_json([rep])
+            assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
