@@ -1,7 +1,7 @@
 """Brute-force oracles and theorem/stability checkers."""
 
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import GraphProfiles, graph_profiles
+from .profile import graph_profiles
 from .reports import CSV_COLUMNS, SCHEMA_VERSION, reports_csv, reports_json
 from .stability import (
     EmbeddingCertificate,
@@ -22,7 +22,6 @@ from .theorems import TheoremReport, brute_ex, brute_ex_matching, check_input_gr
 __all__ = [
     "ENUMERATION_CEILING",
     "enumerate_graphs",
-    "GraphProfiles",
     "graph_profiles",
     "CSV_COLUMNS",
     "SCHEMA_VERSION",

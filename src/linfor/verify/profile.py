@@ -1,21 +1,19 @@
-"""Per-graph invariants over all labeled graphs on n vertices.
+"""Forest tables and per-mask counts over all labeled graphs on n vertices.
 
 Index every labeled graph on n vertices by its edge mask m (bit p = edge p
-in column order, see graphcore.pair_index).  The forest tables are numpy
-arrays over all 2^C(n,2) masks, each a transform over the lattice of edge
-sets:
+in column order, see graphcore.pair_index).  A forest table is a uint8
+numpy array over all 2^C(n,2) masks: entry m is the size of the largest
+acyclic edge set of max degree <= cap inside m.  At cap 2 that is lf(m), the
+largest linear forest; at cap 1 it is nu(m), the matching number.  An oracle
+row reads one table: lf for the L_k-free theorems, nu for the matching ones.
 
-* lf(m), the largest linear forest inside m, is the subset-max transform of
-  the size indicator of the linear forests of K_n (acyclic, max degree 2);
-* nu(m), the matching number, is the same transform over the matchings of
-  K_n (max degree 1).
-
-A transform is Yates' algorithm, the fast zeta transform of Björklund,
-Husfeldt, Kaski and Koivisto ("Fourier meets Möbius: fast subset
-convolution", STOC 2007): C(n,2) in-place passes, pass p folding every mask
-without bit p into the same mask with it.  Both forest families come from a
-small edge-addition search that shares no code with linfor.forests, so the
-theorem oracles built on these arrays stay independent of the forest search.
+A table is the subset-max transform of the size indicator of the forests of
+K_n, by Yates' algorithm, the fast zeta transform of Björklund, Husfeldt,
+Kaski and Koivisto ("Fourier meets Möbius: fast subset convolution", STOC
+2007): C(n,2) in-place passes, pass p folding every mask without bit p into
+the same mask with it.  The forests come from a small edge-addition search
+that shares no code with linfor.forests, so the theorem oracles built on
+these tables stay independent of the forest search.
 
 The minimum degree and N_r, the number of r-cliques, are counted only on the
 masks an oracle row asks about: a degree is the popcount of m & star(w), and
@@ -25,14 +23,12 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from ..graphcore import pair_index
-
-PROFILE_CEILING = 8
+from .enumerate import ENUMERATION_CEILING
 
 
 def _zeta(a: np.ndarray, op) -> np.ndarray:
@@ -81,33 +77,24 @@ def clique_counts(n: int, masks: np.ndarray, r: int) -> np.ndarray:
     if r == 2:
         return np.bitwise_count(masks)
     out = np.zeros(masks.shape, np.uint8)
+    tmp, hit = np.empty_like(masks), np.empty(masks.shape, bool)
     for vs in combinations(range(n), r):
         c = np.uint32(sum(1 << pair_index(u, v) for u, v in combinations(vs, 2)))
-        out += (masks & c) == c
+        np.bitwise_and(masks, c, out=tmp)
+        np.equal(tmp, c, out=hit)
+        out += hit
     return out
 
 
-@dataclass
-class GraphProfiles:
-    """The forest tables of all labeled graphs on n vertices; index = edge mask."""
-
-    n: int
-    lf: np.ndarray  # uint8: maximum linear-forest size
-    nu: np.ndarray  # uint8: matching number
-
-    @property
-    def count(self) -> int:
-        return len(self.lf)
+_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-_cache: dict[int, GraphProfiles] = {}
-
-
-def graph_profiles(n: int) -> GraphProfiles:
-    """Forest tables for all labeled graphs on n vertices (cached)."""
-    if not 0 <= n <= PROFILE_CEILING:
-        raise ValueError(f"profiles support 0 <= n <= {PROFILE_CEILING}")
-    prof = _cache.get(n)
-    if prof is None:
-        prof = _cache[n] = GraphProfiles(n, _max_forest(n, 2), _max_forest(n, 1))
-    return prof
+def graph_profiles(n: int, cap: int) -> np.ndarray:
+    """The forest table of all labeled graphs on n vertices (cached): lf at
+    cap 2, nu at cap 1."""
+    if not 0 <= n <= ENUMERATION_CEILING:
+        raise ValueError(f"profiles support 0 <= n <= {ENUMERATION_CEILING}")
+    table = _cache.get((n, cap))
+    if table is None:
+        table = _cache[n, cap] = _max_forest(n, cap)
+    return table

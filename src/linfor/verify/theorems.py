@@ -18,7 +18,7 @@ from ..constructions import ConstructionParams, h_r, listed_hosts, matching_host
 from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
 from ..graphcore import Graph, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import GraphProfiles, clique_counts, graph_profiles, min_degrees
+from .profile import clique_counts, graph_profiles, min_degrees
 
 WITNESS_CAP = 16
 
@@ -71,13 +71,13 @@ class Family:
     """One hypothesis family of the extremal and stability results: the
     matching results are the L_K-free ones at K = 2k + 1, since matching
     number <= k rules out a linear forest of 2k + 1 edges.  Formulas, degree
-    ranges and thresholds are derived from K.  The graph tests and the host
-    bound look linfor's functions up in this module when called, so names
-    patched here see the calls.
+    ranges and thresholds are derived from K.  The profile and graph tests
+    and the host bound look linfor's functions up in this module when
+    called, so names patched here see the calls.
     """
 
     forest_k: Callable[[int], int]  # k -> K
-    profile_test: Callable[[GraphProfiles, int], np.ndarray]  # (prof, k) -> mask
+    profile_test: Callable[[int, int], np.ndarray]  # (n, k) -> mask
     graph_test: Callable[[Graph, int, int], bool]  # (g, k, budget)
     hypothesis: str  # for vacuous notes; {k} stands for k
     # stability classification
@@ -129,14 +129,14 @@ class Family:
 
 
 LK_FREE = Family(
-    lambda k: k, lambda prof, k: prof.lf < k,
+    lambda k: k, lambda n, k: graph_profiles(n, 2) < k,
     lambda g, k, budget: is_lk_free(g, k, budget=budget), "L_k-free",
     "stability", 5, listed_hosts, False, "theorem4",
     lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
     "exact max linear forest <= k-1", "freeness",
 )
 MATCHING = Family(
-    lambda k: 2 * k + 1, lambda prof, k: prof.nu <= k,
+    lambda k: 2 * k + 1, lambda n, k: graph_profiles(n, 1) <= k,
     lambda g, k, budget: matching_number(g).size <= k, "matching number <= {k}",
     "matching_stability", 2, matching_hosts, True, "theorem7",
     lambda host, k, budget: (k, matching_number(host).size),
@@ -175,7 +175,7 @@ def family_report(
     if dedup:
         oracle, witnesses = _oracle_max_dedup(family, n, r, k, d)
     else:
-        elig = family.profile_test(graph_profiles(n), k)
+        elig = family.profile_test(n, k)
         oracle, witnesses = _oracle_max(n, r, elig, d)
     formula = family.formula(n, k, r, d)
     return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
@@ -249,8 +249,9 @@ def check_input_graph(
     explanatory note (the claim is vacuous for it).  k, r and d must lie in
     the oracle's ranges and n must be at least K, or K + 1 with a min
     degree, where the formula is stated; otherwise ValueError is raised.
-    ``budget`` caps the states of the L_k-freeness search; past it
-    BudgetExceeded is raised.
+    ``budget`` caps the states of the L_k-freeness search of theorems 1-3;
+    past it BudgetExceeded is raised.  Theorems 5 and 6 do not read it: their
+    test is an exact blossom matching.
     """
     n = g.n
     if theorem not in ORACLE_THEOREMS:

@@ -96,16 +96,16 @@ def test_criterion_2_full_n8_run():
         rep = brute_ex(8, 3, 5)
         classes = sum(1 for _ in enumerate_graphs(8, dedup=True))
         slow = brute_ex(8, 3, 5, dedup=True)
-        prof = graph_profiles(8)
+        lf = graph_profiles(8, 2)
         slow_masks = np.array(
             [parse_graph6(g6).edge_mask() for g6 in slow.witnesses], np.uint32
         )
         slow_ok = bool(slow_masks.size) and bool(
-            (prof.lf[slow_masks] < 5).all()
+            (lf[slow_masks] < 5).all()
             and (profile_mod.clique_counts(8, slow_masks, 3) == 10).all()
         )
     finally:
-        profile_mod._cache.pop(8, None)  # the n = 8 lf and nu arrays hold 537 MB
+        profile_mod._cache.pop((8, 2), None)  # the n = 8 lf table holds 268 MB
     witnesses = [parse_graph6(g6) for g6 in rep.witnesses]
     witnesses_ok = bool(witnesses) and all(
         g.n == 8 and is_lk_free(g, 5) and count_cliques(g, 3) == 10
@@ -243,9 +243,9 @@ def test_criterion_7_closure_edge_preserves_freeness():
     # exhaustive over all graphs with n <= 6 via the profile arrays
     ok = True
     for n in range(2, 7):
-        prof = graph_profiles(n)
-        masks = np.arange(prof.count, dtype=np.uint32)
-        degs = np.zeros((n, prof.count), np.uint8)
+        lf = graph_profiles(n, 2)
+        masks = np.arange(len(lf), dtype=np.uint32)
+        degs = np.zeros((n, len(lf)), np.uint8)
         p = 0
         for v in range(n):
             for u in range(v):
@@ -262,8 +262,8 @@ def test_criterion_7_closure_edge_preserves_freeness():
                     qual = (~has) & (degs[u] + degs[v] >= k)
                     if not qual.any():
                         continue
-                    free_before = prof.lf[masks[qual]] <= k - 1
-                    free_after = prof.lf[masks[qual] | bit] <= k - 1
+                    free_before = lf[masks[qual]] <= k - 1
+                    free_after = lf[masks[qual] | bit] <= k - 1
                     if not np.array_equal(free_before, free_after):
                         ok = False
                 p += 1

@@ -166,20 +166,20 @@ class TestIsLkFree:
     def test_matches_profile_table_exhaustive(self):
         # the profile's lf comes from its own edge-addition search
         for n in range(6):
-            prof = graph_profiles(n)
-            for mask in range(prof.count):
-                g = _check_greedy_forest(n, mask, prof)
+            lf = graph_profiles(n, 2)
+            for mask in range(len(lf)):
+                g = _check_greedy_forest(n, mask, lf)
                 for k in range(1, n + 2):
-                    assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
+                    assert is_lk_free(g, k) == (lf[mask] <= k - 1), (n, mask, k)
 
     def test_matches_profile_table_sampled(self):
         rng = random.Random(67)
         for n in (6, 7):
-            prof = graph_profiles(n)
-            for mask in rng.sample(range(prof.count), 400):
-                g = _check_greedy_forest(n, mask, prof)
+            lf = graph_profiles(n, 2)
+            for mask in rng.sample(range(len(lf)), 400):
+                g = _check_greedy_forest(n, mask, lf)
                 for k in range(1, n + 1):
-                    assert is_lk_free(g, k) == (prof.lf[mask] <= k - 1), (n, mask, k)
+                    assert is_lk_free(g, k) == (lf[mask] <= k - 1), (n, mask, k)
 
     def test_budget_exceeded_when_bracket_leaves_it_open(self):
         # K_4: nu = 2 <= lf = 3 <= 2 nu = 4, so k = 4 needs the search
@@ -221,15 +221,15 @@ class TestIsLkFree:
             assert max_linear_forest(g).size >= matching_number(g).size
 
 
-def _check_greedy_forest(n, mask, prof):
+def _check_greedy_forest(n, mask, lf):
     """The graph of mask, once its greedy forest is checked to be a linear
-    forest of it with between nu and the profile's lf edges."""
+    forest of it with between nu and the lf table's edges."""
     g = Graph.from_edge_mask(n, mask)
     matching = matching_number(g)
     edges = forests._greedy_linear_forest(g, matching.witness)
     assert is_linear_forest(n, edges), (n, mask)
     assert all(g.has_edge(u, v) for u, v in edges), (n, mask)
-    assert matching.size <= len(edges) <= prof.lf[mask], (n, mask)
+    assert matching.size <= len(edges) <= lf[mask], (n, mask)
     return g
 
 

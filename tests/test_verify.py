@@ -16,6 +16,7 @@ from linfor import (
     parse_graph6,
 )
 from linfor.verify import (
+    ENUMERATION_CEILING,
     TheoremReport,
     brute_ex,
     brute_ex_matching,
@@ -172,27 +173,27 @@ class TestEnumerate:
 class TestProfiles:
     def test_against_library_functions_exhaustive(self):
         for n in range(0, 5):
-            prof = graph_profiles(n)
-            masks = np.arange(prof.count, dtype=np.uint32)
+            lf, nu = graph_profiles(n, 2), graph_profiles(n, 1)
+            masks = np.arange(len(lf), dtype=np.uint32)
             mindeg = min_degrees(n, masks)
             cliques = {r: clique_counts(n, masks, r) for r in range(1, n + 1)}
-            for mask in range(prof.count):
+            for mask in range(len(lf)):
                 g = Graph.from_edge_mask(n, mask)
-                assert prof.lf[mask] == max_linear_forest(g).size
-                assert prof.nu[mask] == matching_number(g).size
+                assert lf[mask] == max_linear_forest(g).size
+                assert nu[mask] == matching_number(g).size
                 if n:
                     assert mindeg[mask] == min(g.degree(v) for v in range(n))
                 for r in range(1, n + 1):
                     assert cliques[r][mask] == count_cliques(g, r)
 
     def test_against_independent_oracles_sampled(self):
-        prof = graph_profiles(6)
-        triangles = clique_counts(6, np.arange(prof.count, dtype=np.uint32), 3)
+        lf, nu = graph_profiles(6, 2), graph_profiles(6, 1)
+        triangles = clique_counts(6, np.arange(len(lf), dtype=np.uint32), 3)
         rng = random.Random(61)
-        for mask in rng.sample(range(prof.count), 300):
+        for mask in rng.sample(range(len(lf)), 300):
             g = Graph.from_edge_mask(6, mask)
-            assert prof.lf[mask] == lf_subset_dp(g)
-            assert prof.nu[mask] == matching_subset_dp(g)
+            assert lf[mask] == lf_subset_dp(g)
+            assert nu[mask] == matching_subset_dp(g)
             assert triangles[mask] == count_cliques_subsets(g, 3)
 
     def test_row_counts_against_independent_oracles_n8(self):
@@ -209,39 +210,56 @@ class TestProfiles:
         ]
 
     def test_forest_and_matching_exhaustive_n6(self):
-        prof = graph_profiles(6)
-        for mask in range(prof.count):
+        lf, nu = graph_profiles(6, 2), graph_profiles(6, 1)
+        for mask in range(len(lf)):
             g = Graph.from_edge_mask(6, mask)
-            assert prof.lf[mask] == max_linear_forest(g).size
-            assert prof.nu[mask] == matching_number(g).size
+            assert lf[mask] == max_linear_forest(g).size
+            assert nu[mask] == matching_number(g).size
 
     def test_forest_dominates_matching_exhaustive(self):
         # a matching is a linear forest, so lf >= nu on every graph, n <= 7
         for n in range(8):
-            prof = graph_profiles(n)
-            assert (prof.lf >= prof.nu).all()
+            assert (graph_profiles(n, 2) >= graph_profiles(n, 1)).all()
 
     def test_bounded_matching_forces_forest_freeness_exhaustive(self):
         # nu <= k rules out linear forests with 2k+1 edges, n <= 7
         for n in range(8):
-            prof = graph_profiles(n)
+            lf, nu = graph_profiles(n, 2), graph_profiles(n, 1)
             for k in range(4):
-                assert (prof.lf[prof.nu <= k] <= 2 * k).all()
+                assert (lf[nu <= k] <= 2 * k).all()
 
     def test_arrays_match_pinned_digests(self):
         for n, pinned in PINNED_DIGESTS.items():
-            prof = graph_profiles(n)
-            assert prof.count == 1 << (n * (n - 1) // 2)
-            masks = np.arange(prof.count, dtype=np.uint32)
+            lf, nu = graph_profiles(n, 2), graph_profiles(n, 1)
+            assert len(lf) == len(nu) == 1 << (n * (n - 1) // 2)
+            masks = np.arange(len(lf), dtype=np.uint32)
             got = {
-                "lf": _sha256(prof.lf),
-                "nu": _sha256(prof.nu),
+                "lf": _sha256(lf),
+                "nu": _sha256(nu),
                 "mindeg": _sha256(min_degrees(n, masks)),
                 "cliques": [
                     _sha256(clique_counts(n, masks, r)) for r in range(1, n + 1)
                 ],
             }
             assert got == pinned, n
+
+    def test_rows_build_only_their_family_table(self):
+        # an L_k-free row reads lf alone and a matching row nu alone
+        from linfor.verify import profile
+
+        saved = dict(profile._cache)
+        profile._cache.clear()
+        try:
+            brute_ex(6, 2, 4)
+            assert set(profile._cache) == {(6, 2)}
+            brute_ex_matching(6, 2, 2)
+            assert set(profile._cache) == {(6, 2), (6, 1)}
+        finally:
+            profile._cache.update(saved)
+
+    def test_ceiling(self):
+        with pytest.raises(ValueError):
+            graph_profiles(ENUMERATION_CEILING + 1, 2)
 
 
 class TestBruteEx:
