@@ -96,36 +96,24 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     # components are connected, so any with two vertices or more has an edge
     # and one with exactly two is a K_2
     nontrivial = [c for c in _components(g, rest) if c.bit_count() > 1]
-    k2 = [c for c in nontrivial if c.bit_count() == 2]
-    designated = k2[: p.extra_edge_count]
-    load = sum(c.bit_count() for c in nontrivial) - 2 * len(designated)
-    if load > p.b_size:
+    designated = [c for c in nontrivial if c.bit_count() == 2][: p.extra_edge_count]
+    # components are disjoint, so the sum of their masks is their union
+    covered = sum(nontrivial)
+    bmask = covered - sum(designated)
+    if bmask.bit_count() > p.b_size:
         return None
-    parts = ["C"] * g.n
-    for v in iter_bits(amask):
-        parts[v] = "A"
-    desig_mask = 0
-    for comp in designated:
-        desig_mask |= comp
-    b_needed = p.b_size
-    for comp in nontrivial:
-        if comp & desig_mask:
-            continue
-        for v in iter_bits(comp):
-            parts[v] = "B"
-            b_needed -= 1
-    # pad B with trivial rest vertices, lowest index first
-    for v in iter_bits(rest):
-        if b_needed == 0:
-            break
-        if parts[v] == "C" and not (desig_mask >> v & 1):
-            parts[v] = "B"
-            b_needed -= 1
-    extra_edges = []
-    for comp in designated:
-        u, v = list(iter_bits(comp))
-        extra_edges.append((u, v))
-    cert = EmbeddingCertificate(p, tuple(parts), tuple(extra_edges))
+    # pad B with isolated rest vertices, lowest index first
+    spare = rest & ~covered
+    for _ in range(p.b_size - bmask.bit_count()):
+        low = spare & -spare
+        bmask |= low
+        spare ^= low
+    parts = tuple(
+        "A" if amask >> v & 1 else "B" if bmask >> v & 1 else "C"
+        for v in range(g.n)
+    )
+    extra_edges = tuple(tuple(iter_bits(comp)) for comp in designated)
+    cert = EmbeddingCertificate(p, parts, extra_edges)
     if not validate_embedding(g, cert):
         raise RuntimeError(f"embedding certificate failed validation: {cert}")
     return cert
@@ -137,8 +125,8 @@ def _a_sets(classes: list[list[int]], idx: int, remaining: int, amask: int):
     if remaining == 0:
         yield amask
         return
-    if idx == len(classes):
-        return
+    # the pool holds at least `remaining` vertices, and lo makes the last
+    # class take whatever is left, so idx never runs past the classes
     rest_avail = sum(len(c) for c in classes[idx + 1 :])
     lo = max(0, remaining - rest_avail)
     for take in range(min(len(classes[idx]), remaining), lo - 1, -1):
@@ -156,14 +144,8 @@ def embeds_in_host(
     Searches over choices of part A only: vertices whose degree exceeds every
     B/C possibility are forced into A, and remaining slots are filled over
     twin-class count vectors (interchangeable vertices are never permuted).
+    Twin classes are computed only when a slot is left to fill.
     """
-    return _embed(g, p, budget, twin_classes(g))
-
-
-def _embed(
-    g: Graph, p: ConstructionParams, budget: int, classes: list[tuple[int, ...]]
-) -> EmbeddingCertificate | None:
-    """embeds_in_host with the twin classes of g given."""
     if g.n != p.n:
         raise ValueError("embedding requires g.n == params.n")
     cap_b = p.a + p.b_size - 1
@@ -176,9 +158,12 @@ def _embed(
     if forced.bit_count() > p.a:
         return None
     need = p.a - forced.bit_count()
+    if need == 0 and budget >= 1:
+        # the forced vertices are the only A-set
+        return _try_assignment(g, p, forced)
 
     pool_classes = [
-        [v for v in cls if not forced >> v & 1] for cls in classes
+        [v for v in cls if not forced >> v & 1] for cls in twin_classes(g)
     ]
     pool_classes = [cls for cls in pool_classes if cls]
     for attempts, amask in enumerate(_a_sets(pool_classes, 0, need, forced), 1):
@@ -255,16 +240,14 @@ def classify_family(
     nr = count_cliques(g, r)
     threshold = family_threshold(family, n, k, r, d)
     above = nr > threshold
-    attempts: list[tuple[ConstructionParams, EmbeddingCertificate | None]] = []
-    if above:
-        classes = twin_classes(g)
-        for p in family.hosts(n, k):
-            attempts.append((p, _embed(g, p, budget, classes)))
+    attempts = tuple(
+        (p, embeds_in_host(g, p, budget)) for p in family.hosts(n, k)
+    ) if above else ()
     hk = family.forest_k(k)
     return StabilityReport(
         family.kind, n, k, r, d, nr, threshold, above,
         n > hk**5, threshold == h_r(n, hk, d, r),
-        mind, nu, tuple(attempts),
+        mind, nu, attempts,
     )
 
 

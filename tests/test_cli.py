@@ -116,8 +116,28 @@ class TestTransform:
     def test_missing_parameter_exit_2(self, capsys, tmp_path):
         src = tmp_path / "g.g6"
         src.write_text("C~\n")
-        code, _, _ = run(capsys, "transform", "closure", "--in", str(src))
-        assert code == 2
+        for op, message in [
+            ("closure", "closure needs --k"),
+            ("core", "core needs --a (the disintegration degree)"),
+        ]:
+            code, out, err = run(capsys, "transform", op, "--in", str(src))
+            assert code == 2
+            assert out == ""
+            assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--r", "3"),
+    ("transform", "core", "--a", "1"),
+    ("verify", "theorem1", "--k", "3"),
+], ids=["count", "transform_core", "verify_theorem1"])
+def test_empty_input_exit_2(capsys, tmp_path, argv):
+    src = tmp_path / "empty.g6"
+    src.write_text("")
+    code, out, err = run(capsys, *argv, "--in", str(src))
+    assert code == 2
+    assert out == ""
+    assert "error: no graph6 records in input" in err
 
 
 class TestVerify:
@@ -301,6 +321,8 @@ class TestVerify:
          "input-graph mode does not support theorem4"),
         (("theorem7", "--in", "no-such-file.g6"),
          "input-graph mode does not support theorem7"),
+        # --k is asked for before the file is opened
+        (("theorem1", "--in", "no-such-file.g6"), "input-graph mode needs --k"),
         # refused before the first row, not after every row below it
         (("theorem1", "--n", "9"), "enumeration ceiling is n = 8"),
     ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
@@ -309,7 +331,8 @@ class TestVerify:
             "theorem7_k3_d2", "theorem4_d3", "theorem4_d_negative", "input_n",
             "theorem1_samples", "theorem1_seed", "theorem1_budget",
             "theorem3_dedup_budget", "theorem7_budget", "input_theorem5_budget",
-            "theorem4_budget0", "theorem4_in", "theorem7_in", "theorem1_n9"])
+            "theorem4_budget0", "theorem4_in", "theorem7_in", "input_no_k",
+            "theorem1_n9"])
     def test_flag_that_does_not_apply_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2

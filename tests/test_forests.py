@@ -77,6 +77,18 @@ class TestMaxLinearForest:
             assert is_linear_forest(n, list(res.witness))
             assert all(g.has_edge(u, v) for u, v in res.witness)
 
+    @pytest.mark.parametrize("n, edges, expected", [
+        (3, [(0, 0)], False),
+        (3, [(0, 5)], False),
+        (3, [(0, 1), (1, 0)], False),
+        (4, [(0, 1), (0, 2), (0, 3)], False),
+        (3, [(0, 1), (1, 2), (0, 2)], False),
+        (4, [(0, 1), (1, 2), (2, 3)], True),
+    ], ids=["loop", "end_past_n", "repeated_pair", "star_k13", "triangle",
+            "path_p4"])
+    def test_is_linear_forest_decides(self, n, edges, expected):
+        assert is_linear_forest(n, edges) is expected
+
     def test_edge_subset_oracle_exhaustive_tiny(self):
         for n in range(5):
             for mask in range(1 << (n * (n - 1) // 2)):
@@ -368,6 +380,13 @@ class TestGExtremal:
         # triangles plus one edge for odd budgets attain 3k/2 exactly
         for k in range(2, 7):
             assert g_extremal(k, 2)[0] == 3 * k // 2
+
+    def test_class_enumeration_budget(self):
+        # a budget raises and never returns a wrong answer
+        with pytest.raises(BudgetExceeded) as exc:
+            g_extremal(4, 3, budget=100)
+        assert str(exc.value) == "isomorphism-class enumeration exceeded 100 graphs"
+        assert g_extremal(4, 3, budget=200)[0] == g_extremal(4, 3)[0] == 7
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,11 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph.empty(65)
 
+    def test_edge_mask_beyond_pairs_rejected(self):
+        # n = 3 has C(3, 2) = 3 pair bits, so bit 3 names no pair
+        with pytest.raises(ValueError, match="edge mask has bits beyond C"):
+            Graph.from_edge_mask(3, 1 << 3)
+
     def test_edge_roundtrip(self):
         g = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
         assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 4)]
@@ -108,6 +113,15 @@ class TestGraph6:
     def test_parse_rejects_malformed_header(self):
         with pytest.raises(Graph6Error):
             parse_graph6("\x1c??")
+        for record, message in [
+            ("~~??????", "unsupported or truncated graph6 size header"),
+            ("~?", "unsupported or truncated graph6 size header"),
+            # n = 2: one edge bit, then five padding bits of which the last is set
+            ("A`", "nonzero padding bits in graph6 body"),
+        ]:
+            with pytest.raises(Graph6Error) as exc:
+                parse_graph6(record)
+            assert str(exc.value) == message
 
     def test_parse_rejects_truncated_body(self):
         record = to_graph6(Graph.complete(10))

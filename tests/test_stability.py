@@ -13,7 +13,6 @@ from linfor import (
     build_host,
     disjoint_union,
     to_graph6,
-    twin_classes,
 )
 from linfor.verify import (
     EmbeddingCertificate,
@@ -129,13 +128,14 @@ class TestEmbedsInHost:
         (10, 10, "plusplus", [(3, 4), (4, 5)], "AABCCCCCCC", ((3, 4), (4, 5))),
         (10, 10, "plus", [(3, 4), (5, 6)], "AABCCCCCCC", ((3, 4), (5, 6))),
         (8, 8, "plain", [(3, 4)], "AABCCCCC", ()),
+        (8, 8, "plain", [(2, 3)], "AABCCCCC", ()),
         (10, 10, "plain", [], "AABCCCCCCZ", ()),
         (10, 10, "plus", [], "AABCCCCCCC", ((9, 9),)),
         (10, 10, "plus", [], "AABCCCCCCC", ((-1, 8),)),
         (10, 10, "plus", [], "AABCCCCCCC", ((3, 10),)),
     ], ids=["graph_n", "parts_length", "extra_leaves_c", "extra_share_vertex",
-            "extra_too_many", "edge_not_allowed", "part_label", "extra_loop",
-            "extra_negative_end", "extra_end_past_n"])
+            "extra_too_many", "edge_not_allowed", "b_has_c_neighbour",
+            "part_label", "extra_loop", "extra_negative_end", "extra_end_past_n"])
     def test_validate_rejects_each_bad_certificate(
         self, g_n, p_n, variant, c_edges, parts, extra
     ):
@@ -254,21 +254,35 @@ class TestClassifyStability:
         with pytest.raises(ValueError):
             classify_stability(Graph.empty(20), 7, 2, 1)
 
-    def test_twin_classes_shared_across_hosts(self, monkeypatch):
-        # one twin-class computation per classified graph, whatever the
-        # number of hosts tried, with the certificates embeds_in_host gives
-        calls = []
+    def test_twin_classes_only_with_a_free_slot(self, monkeypatch):
+        # classify_family embeds through embeds_in_host once per host, which
+        # computes twin classes only when a host's A has a slot the forced
+        # vertices leave free; the certificates are embeds_in_host's
+        from linfor.verify import stability
 
-        def counted(g):
-            calls.append(g)
-            return twin_classes(g)
+        def counting(name):
+            calls = []
+            real = getattr(stability, name)
+
+            def counted(*args):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(stability, name, counted)
+            return calls
 
         g = build_host(ConstructionParams(19, 6, 2, "plus"))
-        monkeypatch.setattr("linfor.verify.stability.twin_classes", counted)
-        rep = classify_stability(g, 7, 2, 0)
-        assert len(calls) == 1 and len(rep.attempts) == 3
-        monkeypatch.undo()
-        assert rep.attempts == tuple((p, embeds_in_host(g, p)) for p, _ in rep.attempts)
+        h = build_host(ConstructionParams(19, 7, 3))
+        for graph, twin_count in [(g, 1), (h, 0)]:
+            embeds = counting("embeds_in_host")
+            twins = counting("twin_classes")
+            rep = classify_stability(graph, 7, 2, 0)
+            monkeypatch.undo()
+            assert len(rep.attempts) == 3 and len(embeds) == 3
+            assert len(twins) == twin_count
+            assert rep.attempts == tuple(
+                (p, embeds_in_host(graph, p)) for p, _ in rep.attempts
+            )
 
 
 class TestClassifyMatchingStability:
@@ -286,6 +300,7 @@ class TestClassifyMatchingStability:
         rep = classify_matching_stability(g, 2, 2, 1)
         assert rep.clique_count == 13 and rep.threshold == 14
         assert not rep.above_threshold
+        assert rep.certificate is None and not rep.embedded
         assert rep.nu == 3  # outside the hypothesis too; reported, not hidden
 
     def test_nu_reported(self):
