@@ -426,15 +426,19 @@ def _isomorphism_classes(
     Level s + 1 grows from level s (level 1 is the single vertex) by adding a
     vertex joined to some of the parent's vertices: ``room(rows)`` gives the
     parent's open vertices as a mask and how many of them the new vertex may
-    join, and with ``empty`` false it must join at least one.  A child whose
-    canonical key is already on its level is dropped, and so is one that
-    fails ``keep``, which must be inherited by the parents the rule grows
-    from.  A class is then reached when one of its graphs passes ``keep``
-    and loses a vertex to a reached graph whose room admits that vertex's
-    neighbors (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-    1998).  Attachment subsets are enumerated up to parent twin-equivalence
-    only: permuting interchangeable parent vertices yields isomorphic
-    children.  More than ``budget`` new children raise BudgetExceeded.
+    join, and with ``empty`` false it must join at least one.  A child that
+    fails ``keep`` is dropped; ``keep`` must be isomorphism-invariant and
+    inherited by the parents the rule grows from, and it runs before
+    labeling, so only kept children get a canonical key.  A kept child whose
+    key is already on its level is dropped too.  A class is then reached
+    when one of its graphs passes ``keep`` and loses a vertex to a reached
+    graph whose room admits that vertex's neighbors (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  Parents are walked in key
+    order, so the key's order, not only its equality, fixes which child
+    represents each class and hence its labels.  Attachment subsets are
+    enumerated up to parent twin-equivalence only: permuting interchangeable
+    parent vertices yields isomorphic children.  More than ``budget``
+    children that are refused or start a class raise BudgetExceeded.
     """
     from .canon import refined_canonical_key
 
@@ -455,7 +459,9 @@ def _isomorphism_classes(
                 rows = tuple(
                     row | ((nb_mask >> v & 1) << n0) for v, row in enumerate(prows)
                 ) + (nb_mask,)
-                key = refined_canonical_key(size, rows)
+                child = Graph(size, rows)
+                kept = keep(child)
+                key = refined_canonical_key(size, rows) if kept else None
                 if key in nxt:
                     continue
                 produced += 1
@@ -463,8 +469,7 @@ def _isomorphism_classes(
                     raise BudgetExceeded(
                         f"isomorphism-class enumeration exceeded {budget} graphs"
                     )
-                child = Graph(size, rows)
-                if not keep(child):
+                if not kept:
                     continue
                 nxt[key] = rows
                 yield child

@@ -15,6 +15,7 @@ MAX_VERTICES = 64
 # graph6 sizes: single-byte headers encode n <= 62, the only form written;
 # the parser also reads the 4-byte long form that covers n = 63 and 64.
 _G6_SHORT_MAX = 62
+_G6_SPACE = " \t\r\n"  # str.strip() would also drop \x0b, \x0c, \x1c-\x1f, \x85
 
 
 class Graph6Error(ValueError):
@@ -272,8 +273,12 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record (optionally with the '>>graph6<<' header)."""
-    s = text.strip()
+    """Decode one graph6 record (optionally with the '>>graph6<<' header).
+
+    Only ASCII space, tab, CR and LF are stripped from either end; any other
+    byte outside 63..126, such as a vertical tab or form feed, is an error.
+    """
+    s = text.strip(_G6_SPACE)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
@@ -320,10 +325,12 @@ def parse_graph6(text: str) -> Graph:
 
 
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
-    """Parse one record per nonblank line; errors name the 1-based line."""
+    """Parse one record per nonblank line; errors name the 1-based line.
+
+    A line is blank when it holds only ASCII space, tab, CR and LF."""
     out = []
     for num, line in enumerate(lines, start=1):
-        line = line.strip()
+        line = line.strip(_G6_SPACE)
         if line:
             try:
                 out.append(parse_graph6(line))

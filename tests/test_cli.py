@@ -72,6 +72,20 @@ class TestCount:
             assert out == ""
             assert "error: line 3: " in err
 
+    def test_control_bytes_around_record_exit_2(self, capsys, tmp_path):
+        # a vertical tab or unit separator is not whitespace around a record
+        src = tmp_path / "bad.g6"
+        src.write_bytes(b"C~\x0b\n\x1fC~\n")
+        code, out, err = run(capsys, "count", "--in", str(src), "--r", "3")
+        assert code == 2
+        assert out == ""
+        assert "error: line 1: graph6 byte outside printable range 63..126" in err
+        src.write_bytes(b"C~ \t\r\n\x1fC~\n")
+        code, out, err = run(capsys, "count", "--in", str(src), "--r", "3")
+        assert code == 2
+        assert out == ""
+        assert "error: line 2: graph6 byte outside printable range 63..126" in err
+
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("data", [
         b"A_\x0cA_\nB?\n",  # a form feed is no line break

@@ -19,6 +19,7 @@ from linfor import (
     is_lk_free,
     matching_number,
     max_linear_forest,
+    to_graph6,
     twin_classes,
 )
 from linfor import forests
@@ -387,6 +388,44 @@ class TestGExtremal:
             g_extremal(4, 3, budget=100)
         assert str(exc.value) == "isomorphism-class enumeration exceeded 100 graphs"
         assert g_extremal(4, 3, budget=200)[0] == g_extremal(4, 3)[0] == 7
+
+    def test_grid_digest(self):
+        # every total and witness labeling over 0 <= k <= 5, 0 <= delta <= 4
+        h = hashlib.sha256()
+        for k in range(6):
+            for delta in range(5):
+                total, witness = g_extremal(k, delta)
+                h.update(f"{k} {delta} {total} {to_graph6(witness)}\n".encode())
+        assert h.hexdigest() == (
+            "d433552c8c1b7089cf8453955de406b15a87ba926d277505b6ff98fa8b163d77"
+        )
+
+    def test_only_kept_children_are_labeled(self, monkeypatch):
+        import linfor.canon
+
+        labeled = []
+
+        def counting_key(n, rows):
+            labeled.append(Graph(n, rows))
+            return refined_canonical_key(n, rows)
+
+        monkeypatch.setattr(linfor.canon, "refined_canonical_key", counting_key)
+        assert g_extremal(4, 3)[0] == 7
+        assert labeled and all(is_lk_free(g, 5) for g in labeled)
+
+        labeled.clear()
+
+        def every(rows):
+            return (1 << len(rows)) - 1, len(rows)
+
+        def refuse(g):
+            return False
+
+        assert list(forests._isomorphism_classes(4, every, True, refuse, 2)) == []
+        with pytest.raises(BudgetExceeded) as exc:
+            list(forests._isomorphism_classes(4, every, True, refuse, 1))
+        assert str(exc.value) == "isomorphism-class enumeration exceeded 1 graphs"
+        assert labeled == []
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

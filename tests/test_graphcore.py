@@ -13,6 +13,7 @@ from linfor import (
     parse_graph6,
     to_graph6,
 )
+from linfor.graphcore import read_graph6_lines
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -122,6 +123,23 @@ class TestGraph6:
             with pytest.raises(Graph6Error) as exc:
                 parse_graph6(record)
             assert str(exc.value) == message
+
+    def test_parse_strips_only_ascii_space(self):
+        # str.strip() would also drop these and read each record as K_4
+        for record in ("\x1cC~", "C~\x0b", "C~\x0c", "C~\x1f"):
+            with pytest.raises(Graph6Error) as exc:
+                parse_graph6(record)
+            assert str(exc.value) == "graph6 byte outside printable range 63..126"
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("C~\x85")
+        assert str(exc.value) == "graph6 record has a non-ASCII character"
+        assert parse_graph6(" \tC~\r\n") == Graph.complete(4)
+
+    def test_control_byte_line_is_not_blank(self):
+        assert read_graph6_lines(["C~", " \t\r", "C~"]) == [Graph.complete(4)] * 2
+        with pytest.raises(Graph6Error) as exc:
+            read_graph6_lines(["C~", "\x0b"])
+        assert str(exc.value) == "line 2: graph6 byte outside printable range 63..126"
 
     def test_parse_rejects_truncated_body(self):
         record = to_graph6(Graph.complete(10))
