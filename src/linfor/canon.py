@@ -96,8 +96,6 @@ def refined_canonical_key(n: int, rows: tuple[int, ...]) -> tuple:
     keys mean isomorphic graphs; the representative is just not the
     minimum-mask one.
     """
-    if n <= 1:
-        return (n,)
     degs = [row.bit_count() for row in rows]
     raw = []
     for v in range(n):

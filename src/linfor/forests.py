@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphcore import Graph, _twin_classes_rows, disjoint_union
+from .graphcore import MAX_VERTICES, Graph, _twin_classes_rows, disjoint_union
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -385,20 +385,6 @@ def matching_number(g: Graph) -> MatchingResult:
 # -- bounded-degree extremal edge counts -----------------------------------
 
 
-def _connected_components_bound(k: int, delta: int) -> int:
-    # Max degree <= 2 means paths and cycles: at most k+1 vertices once the
-    # forest size is capped at k.  Otherwise take a maximum linear forest F
-    # with f edges and t paths (f+t vertices, f-t internal).  Uncovered
-    # vertices form an independent set attached only to internal vertices
-    # (else F extends), each of which has at most delta-2 spare slots, so
-    # v <= f + t + (f-t)(delta-2): 2k for delta=3, 3k-1 for delta=4.
-    if delta <= 2:
-        return k + 1
-    if delta == 3:
-        return 2 * k
-    return max(3 * k - 1, 2)
-
-
 def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int = 0):
     """Yield neighbor masks choosing 0..|class| lowest members per twin class
     from classes[idx:], added to mask: every mask of at most left more
@@ -478,14 +464,27 @@ def _isomorphism_classes(
         level = nxt
 
 
-def _enumerate_components(k: int, delta: int, budget: int):
-    """Connected graphs on 2 or more vertices with max linear forest <= k and
-    max degree <= delta, one per isomorphism class.
+def g_extremal(
+    k: int, delta: int, budget: int = DEFAULT_BUDGET
+) -> tuple[int, Graph]:
+    """Maximum edges of a graph with max linear forest <= k and max degree <= delta.
 
-    Each new vertex joins a nonempty set of vertices of degree below delta.
-    All three filters are subgraph-monotone and every connected graph has a
-    vertex whose removal leaves it connected, so every class is reached.
+    Connected components on 2 or more vertices are grown one vertex at a
+    time, one per isomorphism class; each new vertex joins a nonempty set of
+    vertices of degree below delta.  The filters (lf <= k, max degree <=
+    delta, the edge cap) are subgraph-monotone and every connected graph has
+    a vertex whose removal leaves it connected, so every class is reached.
+    A connected graph with max degree <= delta and lf <= k has boundedly
+    many vertices, so growth ends at the first empty level, and ``budget``
+    bounds it either way.  The components are profiled by (lf, edges) and
+    combined by an unbounded knapsack over the forest size (lf and degree
+    are component-wise).  The range 0 <= k <= 6, 0 <= delta <= 4 is a
+    desk-scale time limit: g_extremal(6, 4) takes several seconds.
     """
+    if not 0 <= k <= 6:
+        raise ValueError("g_extremal supports 0 <= k <= 6")
+    if not 0 <= delta <= 4:
+        raise ValueError("g_extremal supports 0 <= delta <= 4")
     if delta == 1:
         max_edges = 1  # a connected graph with max degree 1 is a single edge
     elif delta == 2:
@@ -498,31 +497,12 @@ def _enumerate_components(k: int, delta: int, budget: int):
         open_mask = sum(1 << v for v, deg in enumerate(degs) if deg < delta)
         return open_mask, min(delta, max_edges - sum(degs) // 2)
 
-    return _isomorphism_classes(
-        _connected_components_bound(k, delta), room, False,
-        lambda child: is_lk_free(child, k + 1, budget=budget), budget,
-    )
-
-
-def g_extremal(
-    k: int, delta: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, Graph]:
-    """Maximum edges of a graph with max linear forest <= k and max degree <= delta.
-
-    Components are enumerated exhaustively (lf and degree are additive /
-    component-wise), profiled by (lf, edges), and combined by an unbounded
-    knapsack over the forest-size budget.  Desk-scale only: k <= 6, delta <= 4.
-    """
-    if not 0 <= k <= 6:
-        raise ValueError("g_extremal supports 0 <= k <= 6")
-    if not 0 <= delta <= 4:
-        raise ValueError("g_extremal supports 0 <= delta <= 4")
-    if k == 0 or delta == 0:
-        return 0, Graph.empty(0)
-
     # best connected component per exact forest size
     best_comp: dict[int, tuple[int, Graph]] = {}
-    for comp in _enumerate_components(k, delta, budget):
+    for comp in _isomorphism_classes(
+        MAX_VERTICES, room, False,
+        lambda child: is_lk_free(child, k + 1, budget=budget), budget,
+    ):
         f = max_linear_forest(comp, budget=budget).size
         cur = best_comp.get(f)
         if cur is None or comp.edge_count > cur[0]:

@@ -228,10 +228,9 @@ def matching_stability_threshold(n: int, k: int, r: int, d: int) -> int:
     return family_threshold(MATCHING, n, k, r, d)
 
 
-def classify_family(
-    family: Family, g: Graph, k: int, r: int, d: int, budget: int
-) -> StabilityReport:
-    """Threshold test, then embedding attempts into the family's hosts."""
+def classify_family(family: Family, g: Graph, k: int, r: int, d: int) -> StabilityReport:
+    """Threshold test, then embedding attempts into the family's hosts at
+    embeds_in_host's default budget."""
     n = g.n
     mind = min((row.bit_count() for row in g.adj), default=0)
     if mind < d:
@@ -241,7 +240,7 @@ def classify_family(
     threshold = family_threshold(family, n, k, r, d)
     above = nr > threshold
     attempts = tuple(
-        (p, embeds_in_host(g, p, budget)) for p in family.hosts(n, k)
+        (p, embeds_in_host(g, p)) for p in family.hosts(n, k)
     ) if above else ()
     hk = family.forest_k(k)
     return StabilityReport(
@@ -251,25 +250,21 @@ def classify_family(
     )
 
 
-def classify_stability(
-    g: Graph, k: int, r: int, d: int, budget: int = EMBED_BUDGET
-) -> StabilityReport:
+def classify_stability(g: Graph, k: int, r: int, d: int) -> StabilityReport:
     """Threshold test, then embedding attempts into the listed hosts.
 
     Assumes g is L_k-free with min degree >= d (the caller's obligation; the
     min degree is rechecked).  The asymptotic-size hypothesis is reported,
     not enforced, since desk-scale runs intentionally sit below it.
     """
-    return classify_family(LK_FREE, g, k, r, d, budget)
+    return classify_family(LK_FREE, g, k, r, d)
 
 
-def classify_matching_stability(
-    g: Graph, k: int, r: int, d: int, budget: int = EMBED_BUDGET
-) -> StabilityReport:
+def classify_matching_stability(g: Graph, k: int, r: int, d: int) -> StabilityReport:
     """Matching-bound analogue of classify_stability.
 
     The matching number is computed and reported; a graph with nu > k is
     outside the theorem's hypothesis, so no conclusion is claimed for it
     (the threshold and attempts are still reported for inspection).
     """
-    return classify_family(MATCHING, g, k, r, d, budget)
+    return classify_family(MATCHING, g, k, r, d)

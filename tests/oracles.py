@@ -3,14 +3,21 @@
 These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
-subsets), matchings by a subset DP, twin classes by a pairwise row test.
+subsets), matchings by a subset DP, twin classes by a pairwise row test,
+and the degree-capped extremal count by a scan over labeled edge masks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from linfor import Graph
+from linfor.graphcore import pair_index
+from linfor.verify.profile import graph_profiles
+
+CHUNK = 1 << 22
 
 
 def count_cliques_subsets(g: Graph, r: int) -> int:
@@ -180,3 +187,36 @@ def matching_subset_dp(g: Graph) -> int:
                 val = cand
         best[s] = val
     return best[size - 1]
+
+
+def _stars(n: int) -> list[int]:
+    """Edge mask of the star at each vertex of K_n."""
+    return [sum(1 << pair_index(u, w) for u in range(n) if u != w) for w in range(n)]
+
+
+def degree_capped_max(n: int, k: int, delta: int) -> int:
+    """V_n: the most edges of a labeled graph on n vertices with lf <= k and
+    max degree <= delta.
+
+    lf comes from the forest table graph_profiles(n, 2), built by its own
+    edge-addition search; degrees are popcounts of m & star(w), taken on the
+    masks with lf <= k in chunks of CHUNK masks, so that n = 8 stays within
+    a few hundred MB.
+    """
+    lf = graph_profiles(n, 2)
+    best = 0
+    for lo in range(0, lf.size, CHUNK):
+        masks = np.flatnonzero(lf[lo:lo + CHUNK] <= k).astype(np.uint32) + np.uint32(lo)
+        for star in _stars(n):
+            masks = masks[np.bitwise_count(masks & np.uint32(star)) <= delta]
+        if masks.size:
+            best = max(best, int(np.bitwise_count(masks).max()))
+    return best
+
+
+def degree_capped_holds(n: int, k: int, delta: int, mask: int) -> bool:
+    """Whether the edge mask on n vertices has lf <= k and max degree <= delta,
+    by the same table and star popcounts as degree_capped_max."""
+    return bool(graph_profiles(n, 2)[mask] <= k) and all(
+        (mask & star).bit_count() <= delta for star in _stars(n)
+    )

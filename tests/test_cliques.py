@@ -99,6 +99,7 @@ class TestCliqueVector:
         assert clique_vector(Graph.complete(4)).counts == (4, 6, 4, 1)
         assert clique_vector(Graph.empty(3)).counts == (3, 0, 0)
         assert clique_vector(Graph.cycle(5)).counts == (5, 5, 0, 0, 0)
+        assert clique_vector(Graph.complete(4)).count(3) == 4
 
     def test_basic_invariants(self):
         rng = random.Random(19)

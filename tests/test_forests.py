@@ -30,6 +30,8 @@ from linfor.verify.stability import listed_hosts, matching_hosts
 from linfor.verify.suite import _forbidden_edges
 
 from .oracles import (
+    degree_capped_holds,
+    degree_capped_max,
     lf_edge_subsets,
     lf_subset_dp,
     matching_subset_dp,
@@ -426,6 +428,21 @@ class TestGExtremal:
             list(forests._isomorphism_classes(4, every, True, refuse, 1))
         assert str(exc.value) == "isomorphism-class enumeration exceeded 1 graphs"
         assert labeled == []
+
+    def test_matches_labeled_oracle_at_n7(self):
+        # V_7 <= total, since every mask V_7 maximizes over is a graph that
+        # g_extremal maximizes over; a witness on at most 7 vertices, padded
+        # with isolated vertices, is one of those masks, so then V_7 == total
+        for k in range(6):
+            for delta in range(5):
+                total, witness = g_extremal(k, delta)
+                v7 = degree_capped_max(7, k, delta)
+                assert v7 <= total, (k, delta)
+                if witness.n <= 7:
+                    mask = witness.edge_mask()
+                    assert v7 == total, (k, delta)
+                    assert mask.bit_count() == total
+                    assert degree_capped_holds(7, k, delta, mask), (k, delta)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
