@@ -372,7 +372,10 @@ def matching_number(g: Graph) -> MatchingResult:
     size = 0
     for v in range(n):
         if match[v] == -1:
-            if find_path(v):
+            if not adj[v] & live:
+                # the search would fail at once with v its tree's only vertex
+                live &= ~(1 << v)
+            elif find_path(v):
                 size += 1
             else:
                 for i in range(n):

@@ -93,12 +93,20 @@ def _components(g: Graph, alive: int) -> list[int]:
 
 def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     rest = g.vertex_mask() ^ amask
-    # components are connected, so any with two vertices or more has an edge
-    # and one with exactly two is a K_2
-    nontrivial = [c for c in _components(g, rest) if c.bit_count() > 1]
-    designated = [c for c in nontrivial if c.bit_count() == 2][: p.extra_edge_count]
+    # the rest vertices with a rest neighbour: exactly the vertices of the
+    # components of g - A with two vertices or more
+    covered = 0
+    for v, row in enumerate(g.adj):
+        if rest >> v & 1:
+            covered |= row
+    covered &= rest
+    # B takes all of them except at most extra_edge_count K_2 components
+    if covered.bit_count() - 2 * p.extra_edge_count > p.b_size:
+        return None
+    # components are connected, so one with exactly two vertices is a K_2
+    designated = [c for c in _components(g, covered) if c.bit_count() == 2]
+    designated = designated[: p.extra_edge_count]
     # components are disjoint, so the sum of their masks is their union
-    covered = sum(nontrivial)
     bmask = covered - sum(designated)
     if bmask.bit_count() > p.b_size:
         return None
@@ -144,7 +152,9 @@ def embeds_in_host(
     Searches over choices of part A only: vertices whose degree exceeds every
     B/C possibility are forced into A, and remaining slots are filled over
     twin-class count vectors (interchangeable vertices are never permuted).
-    Twin classes are computed only when a slot is left to fill.
+    Twin classes are computed only when a slot is left to fill.  An A-set is
+    refused before any component is built when B cannot hold the vertices
+    outside A with a neighbour outside A, less two per allowed extra edge.
     """
     if g.n != p.n:
         raise ValueError("embedding requires g.n == params.n")

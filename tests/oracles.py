@@ -4,7 +4,8 @@ These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
 subsets), matchings by a subset DP, twin classes by a pairwise row test,
-and the degree-capped extremal count by a scan over labeled edge masks.
+the degree-capped extremal count by a scan over labeled edge masks, and
+Graph's row validation by a walk over every edge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from linfor import Graph
-from linfor.graphcore import pair_index
+from linfor.graphcore import MAX_VERTICES, pair_index
 from linfor.verify.profile import graph_profiles
 
 CHUNK = 1 << 22
@@ -113,6 +114,29 @@ def lf_edge_subsets(g: Graph) -> int:
 
     rec(0, [0] * g.n, list(range(g.n)), 0)
     return best
+
+
+def validate_rows_by_edge(n: int, adj: tuple[int, ...]) -> None:
+    """Graph's row validation, one row and then one edge at a time: raises
+    ValueError with the message Graph must give for (n, adj), or returns."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    if len(adj) != n:
+        raise ValueError("adjacency row count does not match n")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {v} mentions vertices >= n")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v, row in enumerate(adj):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            u = low.bit_length() - 1
+            if not adj[u] & bit:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            row ^= low
 
 
 def embeds_in_host_naive(g: Graph, p) -> bool:

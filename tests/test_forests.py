@@ -313,6 +313,25 @@ class TestMatching:
             got[name] = hashlib.sha256(repr(res).encode()).hexdigest()
         assert got == PINNED_MATCHING_DIGESTS
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_empty_graph(self, n):
+        res = matching_number(Graph.empty(n))
+        assert (res.size, res.witness) == (0, ())
+
+    def test_star_with_isolated_vertices(self):
+        # 0 and 1 are isolated; after the centre 2 takes leaf 3, the search
+        # from leaf 4 fails, and leaves 5 and 6 see only that dead tree
+        res = matching_number(disjoint_union(Graph.empty(2), Graph.star(4)))
+        assert (res.size, res.witness) == (1, ((2, 3),))
+        res = matching_number(disjoint_union(Graph.star(3), Graph.empty(2)))
+        assert (res.size, res.witness) == (1, ((0, 1),))
+
+    def test_isolated_vertices_in_front_of_a_union(self):
+        g = disjoint_union(Graph.empty(3), disjoint_union(Graph.cycle(5), Graph.path(4)))
+        res = matching_number(g)
+        assert (res.size, res.witness) == (4, ((3, 4), (5, 6), (8, 9), (10, 11)))
+        assert res.size == matching_subset_dp(g)
+
     def test_blossom_heavy_cases(self):
         # odd cycles glued at a vertex exercise contraction
         g = Graph.from_edges(

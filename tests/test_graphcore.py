@@ -69,6 +69,71 @@ class TestGraph:
             assert Graph.from_edge_mask(n, g.edge_mask()) == g
 
 
+def _verdict(build, n, rows):
+    try:
+        build(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationOracle:
+    """Graph must raise exactly what the edge-by-edge oracle raises."""
+
+    @staticmethod
+    def check(n, rows):
+        from .oracles import validate_rows_by_edge
+
+        assert _verdict(Graph, n, rows) == _verdict(validate_rows_by_edge, n, rows), (n, rows)
+
+    def test_every_small_matrix(self):
+        # every 0/1 n x n matrix for n <= 4, diagonal included
+        for n in range(5):
+            for bits in range(1 << n * n):
+                rows = tuple(bits >> v * n & ((1 << n) - 1) for v in range(n))
+                self.check(n, rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 63, 64])
+    def test_out_of_range_rows(self, n):
+        rng = random.Random(n)
+        base = random_graph(n, rng).adj
+        for bad in (-1, -(1 << n), 1 << n, ((1 << n) - 1) << 1, 1 << 64, -(1 << 70)):
+            for v in range(n):
+                rows = list(base)
+                rows[v] = bad
+                self.check(n, tuple(rows))
+                # a self-loop in the rows before, at and after the bad row
+                for w in {0, v, n - 1}:
+                    looped = list(rows)
+                    looped[w] |= 1 << w
+                    self.check(n, tuple(looped))
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 16, 17, 32, 33, 63, 64])
+    def test_corner_entries(self, n):
+        # the entries farthest from the diagonal, next to each stride change
+        for g in (Graph.empty(n), Graph.complete(n)):
+            for v, u in ((0, n - 1), (n - 1, 0)):
+                rows = list(g.adj)
+                rows[v] ^= 1 << u
+                self.check(n, tuple(rows))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_one_fault_in_symmetric_graph(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            g = random_graph(n, rng, rng.random())
+            self.check(n, g.adj)
+            v = rng.randrange(n)
+            rows = list(g.adj)
+            rows[v] |= 1 << v
+            self.check(n, tuple(rows))
+            if n > 1:
+                u = rng.choice([u for u in range(n) if u != v])
+                rows = list(g.adj)
+                rows[v] ^= 1 << u
+                self.check(n, tuple(rows))
+
+
 class TestGraph6:
     def test_k2_encodes_to_known_record(self):
         assert to_graph6(Graph.from_edges(2, [(0, 1)])) == "A_"

@@ -177,6 +177,66 @@ class TestEmbedsInHost:
                 assert validate_embedding(g, cert)
         assert positives > 20  # the comparison exercised real embeddings
 
+    def test_b_overflow_by_one_after_extra_edges(self, monkeypatch):
+        # H+(12, 6, 2): A = {0, 1}, B = {2, 3}, C = 4..11 with extra edge (4, 5)
+        from linfor.verify import stability
+
+        seen = []
+        inner = stability._components
+
+        def record(g, alive):
+            seen.append(alive)
+            return inner(g, alive)
+
+        monkeypatch.setattr(stability, "_components", record)
+        p = ConstructionParams(12, 6, 2, "plus")
+        host = build_host(p)
+        # 4 non-singleton vertices less the 2 of an extra edge fill B exactly,
+        # and only those 4 are split into components; the lower K_2 becomes
+        # the extra edge
+        cert = stability._try_assignment(host, p, 0b11)
+        assert cert is not None and cert.extra_edges == ((2, 3),)
+        assert "".join(cert.parts) == "AACCBBCCCCCC"
+        assert seen == [0b111100]
+        # the B-C edge (3, 6) leaves 5 - 2 vertices for the 2 slots of B: the
+        # count refuses before any component is split off
+        seen.clear()
+        g = host.with_edge(3, 6)
+        assert stability._try_assignment(g, p, 0b11) is None
+        assert seen == []
+        assert embeds_in_host(g, p) is None
+        from .oracles import embeds_in_host_naive
+        assert not embeds_in_host_naive(g, p)
+
+    def test_certificates_pinned(self):
+        # sha256 of every certificate (or None) when each graph of a host list
+        # is tried against each host of that list: every listed host for
+        # k = 7, 8, 9 and matching host for k = 3, 4 at n = 20, 22, ..., 40,
+        # plus 5 seeded edge-deleted subgraphs of each host
+        rng = random.Random(0)
+        lines = []
+        for n in range(20, 41, 2):
+            lists = [listed_hosts(n, k) for k in (7, 8, 9)]
+            lists += [matching_hosts(n, k) for k in (3, 4)]
+            for hosts in lists:
+                for src in hosts:
+                    host = build_host(src)
+                    edges = host.edges()
+                    graphs = [host]
+                    for _ in range(5):
+                        g = host
+                        for e in rng.sample(edges, rng.randint(1, 6)):
+                            g = g.without_edge(*e)
+                        graphs.append(g)
+                    for i, g in enumerate(graphs):
+                        for p in hosts:
+                            cert = embeds_in_host(g, p)
+                            lines.append(f"{host_label(src)} {i} {host_label(p)} {cert!r}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == (
+            "c091bdcadd6530d49d6a18d147a3e07cda6e98c5e16f24cc8be03291234e4ed6"
+        )
+
 
 class TestHostLists:
     def test_odd_k_hosts(self):
