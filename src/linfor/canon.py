@@ -108,19 +108,13 @@ def refined_canonical_key(n: int, rows: tuple[int, ...]) -> tuple:
     return tuple((e >> shift, e & ((1 << shift) - 1)) for e in best)
 
 
-def _graph_from_blocks(n: int, blocks: tuple[int, ...]) -> Graph:
-    rows = [0] * n
-    for j, block in enumerate(blocks, start=1):
-        for i in range(j):
-            if block >> (j - 1 - i) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
-
-
 def canonical_graph(g: Graph) -> Graph:
     """Return the canonically labeled copy of g."""
-    return _graph_from_blocks(g.n, canonical_blocks(g.n, g.adj))
+    # block j, read from its top bit, is column j + 1 of the edge mask, so
+    # the blocks written out in turn are the mask's bits in ascending order
+    blocks = canonical_blocks(g.n, g.adj)
+    bits = "".join(f"{block:0{j}b}" for j, block in enumerate(blocks, start=1))
+    return Graph.from_edge_mask(g.n, int("0" + bits[::-1], 2))
 
 
 def canonical_edge_mask(g: Graph) -> int:

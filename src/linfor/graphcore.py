@@ -5,6 +5,10 @@ A graph is stored as one adjacency bitmask per vertex (a Python int used as a
 Graphs are immutable; every operation returns a new value.  Validating a
 graph's rows costs O(log n) word operations: the rows are packed into one
 word, which is transposed as a bit matrix and compared with itself.
+
+The edge mask lists the upper triangle in column order (pair_index): column v
+is the v bits from v(v-1)/2 up, adj[v]'s bits below v.  A graph6 body is the
+mask's bits in ascending order, so conversions go a column or a byte at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ MAX_VERTICES = 64
 # graph6 sizes: single-byte headers encode n <= 62, the only form written;
 # the parser also reads the 4-byte long form that covers n = 63 and 64.
 _G6_SHORT_MAX = 62
+# a body byte is 63 plus six mask bits, the lowest first and so most
+# significant: _REV6[d] reverses the six bits of d, both ways
+_REV6 = [int(f"{d:06b}"[::-1], 2) for d in range(64)]
 _G6_SPACE = " \t\r\n"  # str.strip() would also drop \x0b, \x0c, \x1c-\x1f, \x85
 
 
@@ -157,17 +164,19 @@ class Graph:
 
     @staticmethod
     def from_edge_mask(n: int, mask: int) -> "Graph":
-        """Build a graph from a column-order edge bitmask (see pair_index)."""
-        rows = [0] * n
-        p = 0
-        for v in range(1, n):
-            for u in range(v):
-                if mask >> p & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                p += 1
-        if mask >> p:
+        """Build a graph from a column-order edge bitmask (see pair_index):
+        column v is row v's bits below v, each mirrored into a lower row."""
+        if mask >> max(n, 0) * (n - 1) // 2:  # a negative n has no pairs
             raise ValueError("edge mask has bits beyond C(n, 2)")
+        rows = [0] * n
+        for v in range(1, n):
+            col = mask & (1 << v) - 1
+            mask >>= v
+            rows[v] |= col
+            while col:
+                low = col & -col
+                rows[low.bit_length() - 1] |= 1 << v
+                col ^= low
         return Graph(n, tuple(rows))
 
     # -- queries -----------------------------------------------------------
@@ -190,9 +199,11 @@ class Graph:
         return out
 
     def edge_mask(self) -> int:
+        """Column-order edge bitmask: column v, the v bits from v(v-1)/2 up,
+        is row v's bits below v, so {u, v} is bit pair_index(u, v)."""
         mask = 0
-        for u, v in self.edges():
-            mask |= 1 << pair_index(u, v)
+        for v, row in enumerate(self.adj):
+            mask |= (row & (1 << v) - 1) << v * (v - 1) // 2
         return mask
 
     def vertex_mask(self) -> int:
@@ -298,25 +309,20 @@ def induced_subgraph(g: Graph, vertices: int) -> Graph:
 # -- graph6 ---------------------------------------------------------------
 
 
+def _graph6(n: int, mask: int) -> str:
+    """graph6 record of the column-order edge mask on n <= 62 vertices: body
+    byte i + 1 is 63 plus mask bits 6i .. 6i + 5, bit 6i most significant."""
+    body = bytes(_REV6[mask >> i & 63] + 63 for i in range(0, n * (n - 1) // 2, 6))
+    return chr(n + 63) + body.decode("ascii")
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a single graph6 record (no trailing newline)."""
     if g.n > _G6_SHORT_MAX:
         raise Graph6Error(
             f"n={g.n} exceeds the single-byte graph6 size header (max {_G6_SHORT_MAX})"
         )
-    out = bytearray([g.n + 63])
-    bits = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            bits = bits << 1 | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    return _graph6(g.n, g.edge_mask())
 
 
 def parse_graph6(text: str) -> Graph:
@@ -351,24 +357,12 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
         )
-    rows = [0] * n
-    p = 0
-    u, v = 0, 1
-    for b in body:
-        val = b - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = val >> shift & 1
-            if p < nbits:
-                if bit:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                u += 1
-                if u == v:
-                    u, v = 0, v + 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits in graph6 body")
-            p += 1
-    return Graph(n, tuple(rows))
+    mask = 0
+    for b in reversed(body):
+        mask = mask << 6 | _REV6[b - 63]
+    if mask >> nbits:
+        raise Graph6Error("nonzero padding bits in graph6 body")
+    return Graph.from_edge_mask(n, mask)
 
 
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:

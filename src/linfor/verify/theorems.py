@@ -16,7 +16,7 @@ import numpy as np
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
 from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
-from ..graphcore import Graph, to_graph6
+from ..graphcore import Graph, _graph6, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
 from .profile import clique_counts, graph_profiles, min_degrees
 
@@ -51,10 +51,6 @@ class TheoremReport:
         return "pass" if ok else "fail"
 
 
-def _witness_strings(n: int, masks: np.ndarray) -> tuple[str, ...]:
-    return tuple(to_graph6(Graph.from_edge_mask(n, int(m))) for m in masks)
-
-
 def _oracle_max(n, r, elig, d):
     """Max N_r over the masks in elig with min degree >= d, with the first
     WITNESS_CAP maximizing graphs in ascending mask order."""
@@ -63,7 +59,7 @@ def _oracle_max(n, r, elig, d):
         masks = masks[min_degrees(n, masks) >= d]
     vals = clique_counts(n, masks, r)
     best = int(vals.max())
-    return best, _witness_strings(n, masks[vals == best][:WITNESS_CAP])
+    return best, tuple(_graph6(n, int(m)) for m in masks[vals == best][:WITNESS_CAP])
 
 
 @dataclass(frozen=True)

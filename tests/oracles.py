@@ -4,8 +4,9 @@ These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
 subsets), matchings by a subset DP, twin classes by a pairwise row test,
-the degree-capped extremal count by a scan over labeled edge masks, and
-Graph's row validation by a walk over every edge.
+the degree-capped extremal count by a scan over labeled edge masks,
+Graph's row validation by a walk over every edge, and graph6 by a bit-string
+codec written from the format's definition.
 """
 
 from __future__ import annotations
@@ -244,3 +245,56 @@ def degree_capped_holds(n: int, k: int, delta: int, mask: int) -> bool:
     return bool(graph_profiles(n, 2)[mask] <= k) and all(
         (mask & star).bit_count() <= delta for star in _stars(n)
     )
+
+
+# graph6, as McKay's formats.txt defines it
+# (https://users.cecs.anu.edu.au/~bdm/data/formats.txt):
+#   graph6 = N(n) R(x), optionally preceded by the header ">>graph6<<";
+#   N(n) = one byte n + 63 for 0 <= n <= 62, or 126 followed by R(n) as an
+#   18-bit number for 63 <= n <= 258047, or 126 126 followed by R(n) as a
+#   36-bit number for larger n;
+#   R(x) pads the bit string x on the right with zeros to a multiple of 6,
+#   then writes each group of 6, first bit most significant, as a byte + 63;
+#   x lists the upper triangle in column order: x(0,1), x(0,2), x(1,2),
+#   x(0,3), x(1,3), x(2,3), ..., x(n-2,n-1).
+# This codec holds the library's rule on top: only ASCII space, tab, CR and
+# LF are stripped around a record, the 4-byte form of N(n) is read for any
+# n <= 64 and the 8-byte form is refused, and so is n > 64.
+
+
+def _r_bytes(bits: str) -> str:
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
+def graph6_encode_reference(n: int, edges, long_form: bool = False) -> str:
+    """The graph6 record of the graph on n vertices with the given (u, v)
+    edges; ``long_form`` writes N(n) as 126 and 18 bits even for n <= 62."""
+    present = {(min(u, v), max(u, v)) for u, v in edges}
+    x = "".join("1" if (i, j) in present else "0" for j in range(n) for i in range(j))
+    size = "~" + _r_bytes(f"{n:018b}") if long_form or n > 62 else chr(n + 63)
+    return size + _r_bytes(x)
+
+
+def graph6_decode_reference(record: str) -> tuple[int, frozenset]:
+    """(n, set of (i, j) edges with i < j) of one graph6 record; raises
+    ValueError on every record the library rule refuses."""
+    s = record.strip(" \t\r\n")
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    digits = [ord(c) - 63 for c in s]
+    if not digits or not all(0 <= d <= 63 for d in digits):
+        raise ValueError("not a graph6 record")
+    bits = "".join(f"{d:06b}" for d in digits)
+    if digits[0] < 63:
+        n, x = digits[0], bits[6:]
+    elif len(digits) >= 4 and digits[1] < 63:
+        n, x = int(bits[6:24], 2), bits[24:]
+    else:
+        raise ValueError("8-byte or truncated size")
+    if n > 64:
+        raise ValueError("more than 64 vertices")
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    if len(x) != len(pairs) + (-len(pairs) % 6) or "1" in x[len(pairs):]:
+        raise ValueError("body length or padding")
+    return n, frozenset(p for p, bit in zip(pairs, x) if bit == "1")

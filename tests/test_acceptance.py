@@ -15,7 +15,6 @@ from linfor import (
     build_host,
     core,
     count_cliques,
-    g_extremal,
     h_r,
     host_clique_count,
     induced_subgraph,
@@ -33,6 +32,7 @@ from linfor.verify import (
     stability_suite,
 )
 
+from .extremal_grid import extremal_grid
 from .oracles import count_cliques_subsets
 
 STABILITY_SAMPLES = 100  # random subgraph samples per stability host
@@ -291,14 +291,15 @@ def test_criterion_7_closure_edge_preserves_freeness():
 
 
 def test_criterion_8_bounded_degree_extremal():
-    ok = g_extremal(1, 2)[0] == 1
-    ok &= g_extremal(2, 2)[0] == 3
-    edges, witness = g_extremal(3, 3)
+    grid = extremal_grid()
+    ok = grid[1, 2][0] == 1
+    ok &= grid[2, 2][0] == 3
+    edges, witness = grid[3, 3]
     ok &= edges == 6 and witness.n == 4 and witness.edge_count == 6
     for k in range(1, 6):
-        ok &= g_extremal(k, 2)[0] <= 3 * k // 2
+        ok &= grid[k, 2][0] <= 3 * k // 2
         for delta in (3, 4):
-            ok &= g_extremal(k, delta)[0] <= k * (delta - 1)
+            ok &= grid[k, delta][0] <= k * (delta - 1)
     _status("8 bounded-degree-extremal", ok)
     assert ok
 

@@ -29,6 +29,7 @@ from linfor.verify import embeds_in_host, stability_suite
 from linfor.verify.stability import listed_hosts, matching_hosts
 from linfor.verify.suite import _forbidden_edges
 
+from .extremal_grid import extremal_grid
 from .oracles import (
     degree_capped_holds,
     degree_capped_max,
@@ -393,10 +394,11 @@ class TestGExtremal:
             assert all(witness.degree(v) <= delta for v in range(witness.n))
 
     def test_bounds_against_caps(self):
+        grid = extremal_grid()
         for k in range(1, 6):
-            assert g_extremal(k, 2)[0] <= 3 * k // 2
+            assert grid[k, 2][0] <= 3 * k // 2
             for delta in (3, 4):
-                assert g_extremal(k, delta)[0] <= k * (delta - 1)
+                assert grid[k, delta][0] <= k * (delta - 1)
 
     def test_degree_two_closed_form(self):
         # triangles plus one edge for odd budgets attain 3k/2 exactly
@@ -415,7 +417,7 @@ class TestGExtremal:
         h = hashlib.sha256()
         for k in range(6):
             for delta in range(5):
-                total, witness = g_extremal(k, delta)
+                total, witness = extremal_grid()[k, delta]
                 h.update(f"{k} {delta} {total} {to_graph6(witness)}\n".encode())
         assert h.hexdigest() == (
             "d433552c8c1b7089cf8453955de406b15a87ba926d277505b6ff98fa8b163d77"
@@ -454,7 +456,7 @@ class TestGExtremal:
         # with isolated vertices, is one of those masks, so then V_7 == total
         for k in range(6):
             for delta in range(5):
-                total, witness = g_extremal(k, delta)
+                total, witness = extremal_grid()[k, delta]
                 v7 = degree_capped_max(7, k, delta)
                 assert v7 <= total, (k, delta)
                 if witness.n <= 7:

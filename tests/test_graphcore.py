@@ -13,7 +13,7 @@ from linfor import (
     parse_graph6,
     to_graph6,
 )
-from linfor.graphcore import read_graph6_lines
+from linfor.graphcore import pair_index, read_graph6_lines
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -52,8 +52,9 @@ class TestGraph:
 
     def test_edge_mask_beyond_pairs_rejected(self):
         # n = 3 has C(3, 2) = 3 pair bits, so bit 3 names no pair
-        with pytest.raises(ValueError, match="edge mask has bits beyond C"):
-            Graph.from_edge_mask(3, 1 << 3)
+        for mask in (1 << 3, -1):
+            with pytest.raises(ValueError, match="edge mask has bits beyond C"):
+                Graph.from_edge_mask(3, mask)
 
     def test_edge_roundtrip(self):
         g = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
@@ -62,11 +63,23 @@ class TestGraph:
         assert g.has_edge(4, 2) and not g.has_edge(0, 2)
 
     def test_edge_mask_roundtrip(self):
+        # the mask is defined edge by edge through pair_index
+        def check(g):
+            mask = g.edge_mask()
+            assert mask == sum(1 << pair_index(u, v) for u, v in g.edges())
+            assert Graph.from_edge_mask(g.n, mask) == g
+
+        for n in range(6):
+            for mask in range(1 << n * (n - 1) // 2):
+                g = Graph.from_edge_mask(n, mask)
+                assert g.edge_mask() == mask
+                check(g)
         rng = random.Random(7)
         for _ in range(50):
-            n = rng.randint(0, 9)
-            g = random_graph(n, rng)
-            assert Graph.from_edge_mask(n, g.edge_mask()) == g
+            check(random_graph(rng.randint(0, 9), rng))
+        for n in range(6, 65):
+            check(random_graph(n, rng, rng.random()))
+        check(Graph.complete(64))
 
 
 def _verdict(build, n, rows):
@@ -231,6 +244,71 @@ class TestGraph6:
         body = "?" * ((nbits + 5) // 6)
         record = chr(126) + chr(63) + chr(63 + 1) + chr(63) + body
         assert parse_graph6(record) == Graph.empty(64)
+
+
+def _agree(record):
+    """parse_graph6 and the reference decoder accept the same records and
+    read the same graph from them."""
+    from .oracles import graph6_decode_reference
+
+    try:
+        want = graph6_decode_reference(record)
+    except ValueError:
+        want = None
+    try:
+        g = parse_graph6(record)
+    except Graph6Error:
+        assert want is None, record
+        return
+    assert want == (g.n, frozenset(g.edges())), record
+
+
+class TestGraph6Reference:
+    """parse_graph6 and to_graph6 against the codec in tests.oracles."""
+
+    @staticmethod
+    def check(g):
+        from .oracles import graph6_encode_reference
+
+        record = graph6_encode_reference(g.n, g.edges())
+        if g.n <= 62:
+            assert to_graph6(g) == record
+        for r in (record, graph6_encode_reference(g.n, g.edges(), long_form=True)):
+            assert parse_graph6(r) == g
+            _agree(r)
+            _agree(">>graph6<<" + r)
+
+    def test_every_small_graph(self):
+        for n in range(6):
+            for mask in range(1 << n * (n - 1) // 2):
+                self.check(Graph.from_edge_mask(n, mask))
+
+    def test_seeded_graphs(self):
+        rng = random.Random(19)
+        for n in list(range(6, 63)) + [63, 63, 64, 64]:
+            self.check(random_graph(n, rng, rng.random()))
+        self.check(Graph.complete(64))
+
+    def test_beyond_64_vertices(self):
+        from .oracles import graph6_encode_reference
+
+        for n in (65, 66, 100):
+            _agree(graph6_encode_reference(n, [(0, n - 1)]))
+
+    # each record is edited at every position by every one-byte
+    # substitution, insertion and deletion
+    EDITED = ["@", "A_", "C~", "Dhc", ">>graph6<<Dhc", "~??Dhc", "I~~~~~~}w"]
+    CHARS = [chr(c) for c in range(128)] + ["\x85", "\xe9", "\u2603"]
+
+    @pytest.mark.parametrize("record", EDITED)
+    def test_one_byte_edits(self, record):
+        for i in range(len(record) + 1):
+            if i < len(record):
+                _agree(record[:i] + record[i + 1:])
+            for c in self.CHARS:
+                _agree(record[:i] + c + record[i:])
+                if i < len(record):
+                    _agree(record[:i] + c + record[i + 1:])
 
 
 class TestQueries:
