@@ -238,13 +238,30 @@ def matching_stability_threshold(n: int, k: int, r: int, d: int) -> int:
     return family_threshold(MATCHING, n, k, r, d)
 
 
+def _min_degree_at_least(g: Graph, d: int) -> int:
+    """g's min degree; ValueError when it is below d."""
+    mind = min((row.bit_count() for row in g.adj), default=0)
+    if mind < d:
+        raise ValueError(f"min degree {mind} below required d = {d}")
+    return mind
+
+
+def _certifies(g: Graph, hosts: list[ConstructionParams], threshold: int, d: int) -> bool:
+    """classify_family's `above_threshold and embedded` at r = 2, where N_2 is
+    the edge count.  Hosts are tried in the order given up to the first
+    certificate, so a later host cannot raise BudgetExceeded."""
+    if d:
+        _min_degree_at_least(g, d)
+    if g.edge_count <= threshold:
+        return False
+    return any(embeds_in_host(g, p) is not None for p in hosts)
+
+
 def classify_family(family: Family, g: Graph, k: int, r: int, d: int) -> StabilityReport:
     """Threshold test, then embedding attempts into the family's hosts at
     embeds_in_host's default budget."""
     n = g.n
-    mind = min((row.bit_count() for row in g.adj), default=0)
-    if mind < d:
-        raise ValueError(f"min degree {mind} below required d = {d}")
+    mind = _min_degree_at_least(g, d)
     nu = matching_number(g).size if family.measure_nu else None
     nr = count_cliques(g, r)
     threshold = family_threshold(family, n, k, r, d)

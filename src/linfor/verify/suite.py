@@ -12,19 +12,12 @@ rows are deterministic.
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
 from ..forests import DEFAULT_BUDGET
-from ..graphcore import Graph, to_graph6
-from .stability import (
-    StabilityReport,
-    classify_matching_stability,
-    classify_stability,
-    family_threshold,
-    host_label,
-)
+from ..graphcore import Graph, iter_bits, to_graph6
+from .stability import _certifies, family_threshold, host_label
 from .theorems import LK_FREE, MATCHING, Family, TheoremReport
 
 
@@ -35,19 +28,17 @@ def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
     if p.b_size >= 1 and p.c_size >= 1:
         cands.append((p.a, core))  # build_host never joins B to C
     for u in range(core, p.n):
-        done = False
-        for v in range(u + 1, p.n):
-            if not host.has_edge(u, v):
-                cands.append((u, v))
-                done = True
-                break
-        if done:
+        # u's non-neighbours above u; the lowest one
+        later = ~host.adj[u] & (host.vertex_mask() >> (u + 1) << (u + 1))
+        if later:
+            cands.append((u, (later & -later).bit_length() - 1))
             break
+    # ordered by v, then u: the seeded draw depends on this order
     non_edges = [
         (u, v)
-        for v in range(p.n)
-        for u in range(v)
-        if not host.has_edge(u, v) and (u, v) not in cands
+        for v, row in enumerate(host.adj)
+        for u in iter_bits(~row & ((1 << v) - 1))
+        if (u, v) not in cands
     ]
     if non_edges:
         cands.append(rng.choice(non_edges))
@@ -67,10 +58,11 @@ def _delete_random_edges(
 
 
 def _run_suite(
-    family: Family, classify: Callable[..., StabilityReport], k: int, n: int,
-    r_values: list[int] | None, d: int | None, samples: int, seed: int, budget: int,
+    family: Family, k: int, n: int, r_values: list[int] | None, d: int | None,
+    samples: int, seed: int, budget: int,
 ) -> list[TheoremReport]:
-    """The suite's rows; classify is the family's classifier, (g, k, r, d)."""
+    """The suite's rows.  Every graph a host yields is certified with that
+    host tried first."""
     theorem = family.suite_theorem
     family.require_k(k, "suite")
     if samples < 1:
@@ -88,12 +80,15 @@ def _run_suite(
         raise ValueError(f"{theorem}: min degree must lie in 0..{a}, got {dd}")
     rng = random.Random(seed)
     rows: list[TheoremReport] = []
+    hosts = family.hosts(n, k)
+    thresholds = {m: family_threshold(family, n, k, 2, m) for m in (0, dd)}
 
-    def certifies(g: Graph, d: int) -> int:
-        rep = classify(g, k, 2, d)
-        return int(rep.above_threshold and rep.embedded)
+    for i, p in enumerate(hosts):
+        order = [p, *hosts[:i], *hosts[i + 1 :]]
 
-    for p in family.hosts(n, k):
+        def certifies(g: Graph, d: int) -> int:
+            return int(_certifies(g, order, thresholds[d], d))
+
         label = host_label(p)
         host = build_host(p)
         rows.append(
@@ -157,9 +152,7 @@ def stability_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
     """Construction-side checks of the stability classification at (k, n)."""
-    return _run_suite(
-        LK_FREE, classify_stability, k, n, r_values, d, samples, seed, budget
-    )
+    return _run_suite(LK_FREE, k, n, r_values, d, samples, seed, budget)
 
 
 def matching_stability_suite(
@@ -171,7 +164,4 @@ def matching_stability_suite(
     seed: int = 0,
 ) -> list[TheoremReport]:
     """Construction-side checks of the matching stability result at (k, n)."""
-    return _run_suite(
-        MATCHING, classify_matching_stability, k, n, r_values, d, samples, seed,
-        DEFAULT_BUDGET,
-    )
+    return _run_suite(MATCHING, k, n, r_values, d, samples, seed, DEFAULT_BUDGET)

@@ -1,6 +1,7 @@
 """Host embedding and stability classification."""
 
 import hashlib
+import itertools
 import math
 import random
 
@@ -28,7 +29,9 @@ from linfor.verify import (
     stability_threshold,
     validate_embedding,
 )
-from linfor.verify.suite import _forbidden_edges
+from linfor.verify.stability import _certifies, family_threshold
+from linfor.verify.suite import _delete_random_edges, _forbidden_edges
+from linfor.verify.theorems import LK_FREE, MATCHING
 
 
 class TestEmbedsInHost:
@@ -369,6 +372,88 @@ class TestClassifyMatchingStability:
         assert rep.nu == 2
 
 
+def _counting_embeds(monkeypatch):
+    """The hosts of every embeds_in_host call made through the stability
+    module, in call order."""
+    from linfor.verify import stability
+
+    calls = []
+    real = stability.embeds_in_host
+
+    def counted(g, p, *args):
+        calls.append(p)
+        return real(g, p, *args)
+
+    monkeypatch.setattr(stability, "embeds_in_host", counted)
+    return calls
+
+
+class TestCertifies:
+    """The suites' yes/no: classify's `above_threshold and embedded` at r = 2,
+    trying hosts in the given order and stopping at the first certificate."""
+
+    def test_at_or_below_threshold_embeds_nothing(self, monkeypatch):
+        hosts = listed_hosts(20, 7)
+        thr = family_threshold(LK_FREE, 20, 7, 2, 0)
+        host = build_host(hosts[0])
+        # exactly thr edges: N_2 = thr is not above the threshold
+        g = Graph.from_edges(20, host.edges()[:thr])
+        assert g.edge_count == thr
+        calls = _counting_embeds(monkeypatch)
+        for graph in (Graph.empty(20), g):
+            assert _certifies(graph, hosts, thr, 0) is False
+            assert not classify_stability(graph, 7, 2, 0).above_threshold
+        assert calls == []
+
+    def test_min_degree_message(self):
+        hosts = listed_hosts(20, 7)
+        thr = family_threshold(LK_FREE, 20, 7, 2, 1)
+        message = "min degree 0 below required d = 1"
+        with pytest.raises(ValueError, match=message):
+            _certifies(Graph.empty(20), hosts, thr, 1)
+        with pytest.raises(ValueError, match=message):
+            classify_stability(Graph.empty(20), 7, 2, 1)
+
+    @pytest.mark.parametrize("family, k, n", [
+        (LK_FREE, 5, 12), (LK_FREE, 6, 13), (LK_FREE, 7, 16), (LK_FREE, 8, 18),
+        (MATCHING, 2, 12), (MATCHING, 3, 16),
+    ])
+    def test_agrees_with_classify_in_every_host_order(
+        self, monkeypatch, family, k, n
+    ):
+        # hosts, random proper subgraphs and perturbed hosts; each host order
+        # embeds up to its first certifying host and no further
+        classify = {LK_FREE: classify_stability, MATCHING: classify_matching_stability}[family]
+        hosts = family.hosts(n, k)
+        rng = random.Random(k * 100 + n)
+        graphs = []
+        for p in hosts:
+            host = build_host(p)
+            edges = host.edges()
+            graphs.append(host)
+            graphs += [_delete_random_edges(host, edges, rng) for _ in range(3)]
+            graphs += [host.with_edge(u, v) for u, v in _forbidden_edges(host, p, rng)]
+        thr = family_threshold(family, n, k, 2, 0)
+        answers = set()
+        for g in graphs:
+            rep = classify(g, k, 2, 0)
+            certified = {p for p, cert in rep.attempts if cert is not None}
+            expected = rep.above_threshold and rep.embedded
+            answers.add(expected)
+            for order in itertools.permutations(hosts):
+                calls = _counting_embeds(monkeypatch)
+                assert _certifies(g, list(order), thr, 0) is expected
+                monkeypatch.undo()
+                if not rep.above_threshold:
+                    assert calls == []
+                elif expected:
+                    first = next(i for i, p in enumerate(order) if p in certified)
+                    assert calls == list(order[: first + 1])
+                else:
+                    assert calls == list(order)
+        assert answers == {True, False}
+
+
 class TestSuites:
     def test_stability_suite_small(self):
         rows = stability_suite(7, 20, samples=3, seed=1)
@@ -394,48 +479,60 @@ class TestSuites:
         b = stability_suite(8, 21, samples=4, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("suite, k, name, digest", [
-        (stability_suite, 7, "classify_stability",
-         "2fde5712bde0d68a4fff2f3b58756f934493d192e4e4064df39f38a5f79b8a81"),
-        (matching_stability_suite, 3, "classify_matching_stability",
-         "a10084e8a1ae96762937612f1a9fb80e95c160574f99606953e36e85140f8d12"),
-    ], ids=["theorem4", "theorem7"])
-    def test_sampled_graphs_pinned(self, monkeypatch, suite, k, name, digest):
-        # report rows hold only counts, so pin which graphs get classified
+    @staticmethod
+    def _certified(monkeypatch, suite, k):
+        # every (g, d, answer) the suite's yes/no gives, in call order
         import linfor.verify.suite as suite_module
 
         seen = []
-        inner = getattr(suite_module, name)
+        inner = suite_module._certifies
 
-        def record(g, *args, **kwargs):
-            seen.append(to_graph6(g))
-            return inner(g, *args, **kwargs)
+        def record(g, hosts, threshold, d):
+            seen.append((g, d, inner(g, hosts, threshold, d)))
+            return seen[-1][2]
 
-        monkeypatch.setattr(suite_module, name, record)
+        monkeypatch.setattr(suite_module, "_certifies", record)
         suite(k, 24, samples=5, seed=3)
-        text = "\n".join(seen) + "\n"
+        return seen
+
+    @pytest.mark.parametrize("suite, k", [
+        (stability_suite, 7), (matching_stability_suite, 3),
+    ], ids=["theorem4", "theorem7"])
+    def test_source_host_certifies_first(self, monkeypatch, suite, k):
+        # each graph is tried against the host it came from first, which
+        # certifies every host, sample and kept perturbation here at once
+        embeds = _counting_embeds(monkeypatch)
+        seen = self._certified(monkeypatch, suite, k)
+        assert len(embeds) == len(seen) > 0
+        assert all(answer for _, _, answer in seen)
+
+    @pytest.mark.parametrize("suite, k, digest", [
+        (stability_suite, 7,
+         "2fde5712bde0d68a4fff2f3b58756f934493d192e4e4064df39f38a5f79b8a81"),
+        (matching_stability_suite, 3,
+         "a10084e8a1ae96762937612f1a9fb80e95c160574f99606953e36e85140f8d12"),
+    ], ids=["theorem4", "theorem7"])
+    def test_sampled_graphs_pinned(self, monkeypatch, suite, k, digest):
+        # report rows hold only counts, so pin which graphs get certified
+        seen = self._certified(monkeypatch, suite, k)
+        text = "\n".join(to_graph6(g) for g, _, _ in seen) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("suite, k, name, digest", [
-        (stability_suite, 7, "classify_stability",
+    @pytest.mark.parametrize("suite, k, classify, digest", [
+        (stability_suite, 7, classify_stability,
          "f8e89d8d161fada99fe6b0ffa89f60b7bd0b0b93fd32f67891beb90f71590892"),
-        (matching_stability_suite, 3, "classify_matching_stability",
+        (matching_stability_suite, 3, classify_matching_stability,
          "8b1116f1214b9662d8c5a25b737d28efb94bd6dc1e14f3e5f151eff78a54795c"),
     ], ids=["theorem4", "theorem7"])
-    def test_reports_pinned(self, monkeypatch, suite, k, name, digest):
-        # the whole report of every classification the suite makes: each
-        # attempt's certificate, nu and the min degree
-        import linfor.verify.suite as suite_module
-
-        reports = []
-        inner = getattr(suite_module, name)
-
-        def record(g, *args, **kwargs):
-            reports.append(inner(g, *args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(suite_module, name, record)
-        suite(k, 24, samples=5, seed=3)
+    def test_reports_pinned(self, monkeypatch, suite, k, classify, digest):
+        # the whole report of every graph the suite certifies: each attempt's
+        # certificate, nu and the min degree; the suite's yes/no is the
+        # report's above_threshold and embedded
+        seen = self._certified(monkeypatch, suite, k)
+        reports = [classify(g, k, 2, d) for g, d, _ in seen]
+        assert [answer for _, _, answer in seen] == [
+            rep.above_threshold and rep.embedded for rep in reports
+        ]
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, digest", [
