@@ -30,7 +30,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphcore import MAX_VERTICES, Graph, _twin_classes_rows, disjoint_union
+from .graphcore import (
+    MAX_VERTICES, Graph, _twin_classes_rows, disjoint_union, iter_bits,
+)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -388,6 +390,36 @@ def matching_number(g: Graph) -> MatchingResult:
 # -- bounded-degree extremal edge counts -----------------------------------
 
 
+def _forest_paths(n: int, forest: ForestResult) -> tuple[int, list[int]]:
+    """``(size, path)`` of a linear forest on n vertices: ``path[u]`` names
+    the path holding u (an isolated vertex is a path of its own), or is -1
+    when u has forest degree 2 and so no free end."""
+    parent = list(range(n))
+    deg = [0] * n
+    for u, v in forest.witness:
+        parent[_find(parent, u)] = _find(parent, v)
+        deg[u] += 1
+        deg[v] += 1
+    return forest.size, [-1 if deg[u] == 2 else _find(parent, u) for u in range(n)]
+
+
+def _child_lf_bracket(parent: tuple[int, list[int]], nbrs: int) -> tuple[int, int]:
+    """``(lo, hi)`` with lo <= lf(child) <= hi, for the child that adds one
+    vertex v joined to ``nbrs`` to a graph whose maximum linear forest has
+    ``_forest_paths`` ``parent``.
+
+    Deleting v from a forest of the child deletes at most min(2, deg v)
+    edges and leaves a forest of the parent, so hi = lf + min(2, deg v).
+    The parent's maximum forest with v joined to free ends of two distinct
+    paths (or of one) is a forest of the child, so lo = lf + min(2, number
+    of distinct paths with a free end among v's neighbours).
+    """
+    size, path = parent
+    ends = {path[u] for u in iter_bits(nbrs)}
+    ends.discard(-1)
+    return size + min(2, len(ends)), size + min(2, nbrs.bit_count())
+
+
 def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int = 0):
     """Yield neighbor masks choosing 0..|class| lowest members per twin class
     from classes[idx:], added to mask: every mask of at most left more
@@ -424,7 +456,11 @@ def _isomorphism_classes(
     graph whose room admits that vertex's neighbors (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998).  Parents are walked in key
     order, so the key's order, not only its equality, fixes which child
-    represents each class and hence its labels.  Attachment subsets are
+    represents each class and hence its labels.  The new vertex of a child
+    on ``size`` vertices is ``size - 1``, so ``keep`` may rely on this: the
+    child's first ``size - 1`` rows, cut below the new vertex, are the rows
+    of a kept parent (yielded before any of its children; on level 2 the
+    single vertex ``(0,)``).  Attachment subsets are
     enumerated up to parent twin-equivalence only: permuting interchangeable
     parent vertices yields isomorphic children.  More than ``budget``
     children that are refused or start a class raise BudgetExceeded.
@@ -456,7 +492,9 @@ def _isomorphism_classes(
                 produced += 1
                 if produced > budget:
                     raise BudgetExceeded(
-                        f"isomorphism-class enumeration exceeded {budget} graphs"
+                        f"isomorphism-class enumeration exceeded {budget} graphs "
+                        f"at the {size}-vertex level, which had kept {len(nxt)} "
+                        f"classes"
                     )
                 if not kept:
                     continue
@@ -479,10 +517,14 @@ def g_extremal(
     a vertex whose removal leaves it connected, so every class is reached.
     A connected graph with max degree <= delta and lf <= k has boundedly
     many vertices, so growth ends at the first empty level, and ``budget``
-    bounds it either way.  The components are profiled by (lf, edges) and
+    bounds it either way.  Each grown class's maximum linear forest is kept,
+    and a child's lf <= k is first bracketed from its parent's forest (see
+    ``_child_lf_bracket``); only a child the bracket leaves open goes to
+    ``is_lk_free``.  The components are profiled by (lf, edges) and
     combined by an unbounded knapsack over the forest size (lf and degree
     are component-wise).  The range 0 <= k <= 6, 0 <= delta <= 4 is a
-    desk-scale time limit: g_extremal(6, 4) takes several seconds.
+    desk-scale time limit: g_extremal(6, 4) takes about 3 s (2 vCPU,
+    Python 3.11).
     """
     if not 0 <= k <= 6:
         raise ValueError("g_extremal supports 0 <= k <= 6")
@@ -500,13 +542,27 @@ def g_extremal(
         open_mask = sum(1 << v for v, deg in enumerate(degs) if deg < delta)
         return open_mask, min(delta, max_edges - sum(degs) // 2)
 
+    # _forest_paths of each kept class's maximum forest, by rows; level 2
+    # grows from the single vertex
+    parents: dict[tuple[int, ...], tuple[int, list[int]]] = {(0,): (0, [0])}
+
+    def keep(child: Graph) -> bool:
+        v = child.n - 1
+        below = (1 << v) - 1
+        parent = parents[tuple(row & below for row in child.adj[:v])]
+        lo, hi = _child_lf_bracket(parent, child.adj[v])
+        if hi <= k:
+            return True
+        if lo > k:
+            return False
+        return is_lk_free(child, k + 1, budget=budget)
+
     # best connected component per exact forest size
     best_comp: dict[int, tuple[int, Graph]] = {}
-    for comp in _isomorphism_classes(
-        MAX_VERTICES, room, False,
-        lambda child: is_lk_free(child, k + 1, budget=budget), budget,
-    ):
-        f = max_linear_forest(comp, budget=budget).size
+    for comp in _isomorphism_classes(MAX_VERTICES, room, False, keep, budget):
+        forest = max_linear_forest(comp, budget=budget)
+        parents[comp.adj] = _forest_paths(comp.n, forest)
+        f = forest.size
         cur = best_comp.get(f)
         if cur is None or comp.edge_count > cur[0]:
             best_comp[f] = (comp.edge_count, comp)

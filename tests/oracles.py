@@ -3,10 +3,11 @@
 These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
-subsets), matchings by a subset DP, twin classes by a pairwise row test,
-the degree-capped extremal count by a scan over labeled edge masks,
-Graph's row validation by a walk over every edge, and graph6 by a bit-string
-codec written from the format's definition.
+subsets), matchings by a subset DP or a search for disjoint edges, twin
+classes by a pairwise row test, the degree-capped extremal count by a scan
+over labeled edge masks, the degree-capped matching count by a published
+closed form, Graph's row validation by a walk over every edge, and graph6 by
+a bit-string codec written from the format's definition.
 """
 
 from __future__ import annotations
@@ -212,6 +213,47 @@ def matching_subset_dp(g: Graph) -> int:
                 val = cand
         best[s] = val
     return best[size - 1]
+
+
+def has_disjoint_edges(g: Graph, count: int) -> bool:
+    """Whether g has ``count`` pairwise disjoint edges, by branching on the
+    lowest vertex left: it is matched to a later neighbour or left out."""
+
+    def search(avail: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if avail.bit_count() < 2 * need:
+            return False
+        low = avail & -avail
+        rest = avail ^ low
+        nbrs = g.adj[low.bit_length() - 1] & rest
+        while nbrs:
+            u = nbrs & -nbrs
+            nbrs ^= u
+            if search(rest ^ u, need - 1):
+                return True
+        return search(rest, need)
+
+    return search((1 << g.n) - 1, count)
+
+
+def matching_knapsack(best: dict[int, int], k: int) -> int:
+    """The most edges of a disjoint union of components with matching
+    numbers summing to at most k, given the most edges ``best[nu]`` of a
+    component with matching number nu; components may repeat."""
+    dp = [0] * (k + 1)
+    for j in range(1, k + 1):
+        dp[j] = max([dp[j - 1]] + [dp[j - nu] + e for nu, e in best.items() if nu <= j])
+    return dp[k]
+
+
+def chvatal_hanson(k: int, delta: int) -> int:
+    """The most edges of a graph with matching number <= k and max degree
+    <= delta >= 1: k delta + floor(delta/2) floor(k / ceil(delta/2))
+    (Chvatal & Hanson, "Degrees and matchings", J. Combin. Theory Ser. B
+    1976; this short form is from Balachandran & Khare, Discrete Math.
+    2009)."""
+    return k * delta + (delta // 2) * (k // ((delta + 1) // 2))
 
 
 def _stars(n: int) -> list[int]:

@@ -24,6 +24,7 @@ from linfor import (
 )
 from linfor import forests
 from linfor.canon import refined_canonical_key
+from linfor.graphcore import MAX_VERTICES
 from linfor.verify import graph_profiles
 from linfor.verify import embeds_in_host, stability_suite
 from linfor.verify.stability import listed_hosts, matching_hosts
@@ -31,10 +32,13 @@ from linfor.verify.suite import _forbidden_edges
 
 from .extremal_grid import extremal_grid
 from .oracles import (
+    chvatal_hanson,
     degree_capped_holds,
     degree_capped_max,
+    has_disjoint_edges,
     lf_edge_subsets,
     lf_subset_dp,
+    matching_knapsack,
     matching_subset_dp,
     twin_classes_naive,
 )
@@ -409,8 +413,70 @@ class TestGExtremal:
         # a budget raises and never returns a wrong answer
         with pytest.raises(BudgetExceeded) as exc:
             g_extremal(4, 3, budget=100)
-        assert str(exc.value) == "isomorphism-class enumeration exceeded 100 graphs"
+        assert str(exc.value) == (
+            "isomorphism-class enumeration exceeded 100 graphs "
+            "at the 6-vertex level, which had kept 6 classes"
+        )
         assert g_extremal(4, 3, budget=200)[0] == g_extremal(4, 3)[0] == 7
+
+    def test_parent_bracket_agrees_with_freeness(self, monkeypatch):
+        # keep decides most children from the parent's maximum forest; each
+        # child it decides so gets is_lk_free's answer
+        searched = []
+
+        def counting_is_lk_free(g, k, budget):
+            searched.append(g)
+            return is_lk_free(g, k, budget=budget)
+
+        grow = forests._isomorphism_classes
+        children = []
+
+        def recording_classes(top, room, empty, keep, budget):
+            def recording_keep(child):
+                before = len(searched)
+                answer = keep(child)
+                children.append((child, answer, len(searched) == before))
+                return answer
+
+            return grow(top, room, empty, recording_keep, budget)
+
+        grid = extremal_grid()  # built unpatched
+        monkeypatch.setattr(forests, "is_lk_free", counting_is_lk_free)
+        monkeypatch.setattr(forests, "_isomorphism_classes", recording_classes)
+        kept = refused = 0
+        for k in range(6):
+            for delta in range(5):
+                children.clear()
+                assert g_extremal(k, delta) == grid[k, delta]
+                for child, answer, decided in children:
+                    if decided:
+                        assert answer == is_lk_free(child, k + 1), (k, delta)
+                        kept += answer
+                        refused += not answer
+        # 9,402 children: 479 kept and 7,345 refused by the bracket, 1,578
+        # passed to is_lk_free
+        assert (kept, refused, len(searched)) == (479, 7345, 1578)
+
+    def test_class_generator_meets_chvatal_hanson(self):
+        # components with nu <= k and max degree <= delta, grown by the class
+        # generator, and combined over nu, give the published maximum
+        pairs = [(k, delta) for k in range(1, 4) for delta in range(1, 5)] + [(4, 2)]
+        for k, delta in pairs:
+            def room(rows):
+                open_mask = sum(1 << v for v, row in enumerate(rows)
+                                if row.bit_count() < delta)
+                return open_mask, delta
+
+            def nu_at_most_k(g):
+                return not has_disjoint_edges(g, k + 1)
+
+            best: dict[int, int] = {}
+            for comp in forests._isomorphism_classes(
+                MAX_VERTICES, room, False, nu_at_most_k, forests.DEFAULT_BUDGET
+            ):
+                nu = next(j for j in range(k + 1) if not has_disjoint_edges(comp, j + 1))
+                best[nu] = max(best.get(nu, 0), comp.edge_count)
+            assert matching_knapsack(best, k) == chvatal_hanson(k, delta), (k, delta)
 
     def test_grid_digest(self):
         # every total and witness labeling over 0 <= k <= 5, 0 <= delta <= 4
@@ -447,7 +513,10 @@ class TestGExtremal:
         assert list(forests._isomorphism_classes(4, every, True, refuse, 2)) == []
         with pytest.raises(BudgetExceeded) as exc:
             list(forests._isomorphism_classes(4, every, True, refuse, 1))
-        assert str(exc.value) == "isomorphism-class enumeration exceeded 1 graphs"
+        assert str(exc.value) == (
+            "isomorphism-class enumeration exceeded 1 graphs "
+            "at the 2-vertex level, which had kept 0 classes"
+        )
         assert labeled == []
 
     def test_matches_labeled_oracle_at_n7(self):

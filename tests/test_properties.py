@@ -15,6 +15,9 @@ from linfor import (
     parse_graph6,
     to_graph6,
 )
+from linfor.forests import _child_lf_bracket, _forest_paths
+
+from .oracles import lf_subset_dp
 
 
 @st.composite
@@ -81,3 +84,14 @@ def test_closure_preserves_forest_freeness(g, k):
 @given(graphs(max_n=10), st.integers(min_value=1, max_value=10))
 def test_freeness_decision_matches_forest_size(g, k):
     assert is_lk_free(g, k) == (max_linear_forest(g).size <= k - 1)
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=9).filter(lambda g: g.n >= 1))
+def test_parent_bracket_holds_lf(g):
+    # g is its first n - 1 vertices (the parent) plus its last vertex
+    v = g.n - 1
+    parent = Graph(v, tuple(row & ((1 << v) - 1) for row in g.adj[:v]))
+    paths = _forest_paths(v, max_linear_forest(parent))
+    lo, hi = _child_lf_bracket(paths, g.adj[v])
+    assert lo <= lf_subset_dp(g) <= hi
