@@ -12,9 +12,10 @@ then the forest search runs, stopping at the first k-edge forest.
 The forest search builds paths edge by edge and memoizes on twin-collapsed
 states: vertices with identical neighborhoods (adjacent or not) are
 interchangeable, so a state is the per-class count of consumed vertices plus
-the class of the open path end.  On the symmetric host graphs this collapses
-n ~ 40 instances to a few thousand states; on arbitrary graphs it degrades to
-the usual exponential search, guarded by a node budget.
+the class of the open path end, packed into one int: a bit field per class
+above a few low bits for the tail.  On the symmetric host graphs this
+collapses n ~ 40 instances to a few thousand states; on arbitrary graphs it
+degrades to the usual exponential search, guarded by a node budget.
 
 Determinism: twin classes are indexed by their smallest vertex; from an open
 path the search tries extensions by ascending class index and then closing;
@@ -105,14 +106,23 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
 class _ForestSearch:
     """Memoised path-by-path search over the twin-collapsed states of one graph.
 
-    A state is ``(counts, tail)``: the per-class number of consumed vertices
-    and the class of the open path end, or -1 when no path is open.  ``memo``
-    maps each fully explored state to ``(value, next_state, start_class)``:
-    its best completion and the first move reaching it, where
-    ``start_class`` is the class of a new path's first vertex (-1 for an
-    extension or a close).  A state left early is never stored, so every
-    entry is exact.  With an edge target ``k`` the search stops at the first
-    forest of k edges; without one it computes the maximum.
+    A state is one int; 0 is the empty start.  Its bits under ``low`` hold
+    the class of the open path end plus one, or 0 when no path is open.
+    Above them each class c keeps its number of consumed vertices in a bit
+    field of its own, ``max(sizes).bit_length() + 1`` bits wide, counted in
+    units of ``unit[c]``.  Class c has a free vertex while
+    ``state & field[c] < full[c]`` (``full[c]`` is ``sizes[c] * unit[c]``),
+    so a move to class e is ``base + unit[e] + (e + 1)`` with ``base`` the
+    state less its tail code; a new path adds ``unit[c]`` of its first class
+    c to ``base`` first.  ``moves[c]`` lists ``(unit, field, full, e + 1)``
+    for each class e adjacent to c, by ascending e, and ``starts[c]`` is
+    ``(unit, field, full, moves)`` of c.  ``memo`` maps each fully explored
+    state to ``(value, next_state, start_class)``: its best completion and
+    the first move reaching it, where ``start_class`` is the class of a new
+    path's first vertex (-1 for an extension or a close).  A state left
+    early is never stored, so every entry is exact.  With an edge target
+    ``k`` the search stops at the first forest of k edges; without one it
+    computes the maximum.
     """
 
     def __init__(self, g: Graph, budget: int, k: int | None = None) -> None:
@@ -126,22 +136,31 @@ class _ForestSearch:
             return bool(g.adj[u] >> classes[e][0] & 1)
 
         m = len(classes)
-        self.nbr_classes = [[e for e in range(m) if adjacent(c, e)] for c in range(m)]
+        sizes = [len(c) for c in classes]
+        shift = m.bit_length()
+        width = max(sizes, default=0).bit_length() + 1
+        unit = [1 << (shift + c * width) for c in range(m)]
+        field = [((1 << width) - 1) * u for u in unit]
+        full = [s * u for s, u in zip(sizes, unit)]
+        self.moves = [
+            [(unit[e], field[e], full[e], e + 1) for e in range(m) if adjacent(c, e)]
+            for c in range(m)
+        ]
+        self.starts = list(zip(unit, field, full, self.moves))
+        self.low = (1 << shift) - 1
         self.classes = classes
-        self.sizes = [len(c) for c in classes]
-        self.root = ((0,) * m, -1)
         self.budget = budget
         self.k = k
         self.n = g.n
-        self.memo: dict[tuple[tuple[int, ...], int], tuple] = {}
+        self.memo: dict[int, tuple] = {}
 
     def run(self) -> int:
         """lf(g) when k is None; otherwise a value that is >= k iff lf(g) >= k."""
         # g.n + 1 edges exceed every forest of g, even at n = 0, so the exact
         # search never stops early and stores every state it reaches
-        return self.best(self.root, self.n + 1 if self.k is None else self.k)
+        return self.best(0, self.n + 1 if self.k is None else self.k)
 
-    def best(self, state: tuple[tuple[int, ...], int], need: int) -> int:
+    def best(self, state: int, need: int) -> int:
         """Edges of the best forest completing ``state``.
 
         Exact when below ``need``.  As soon as ``need`` more edges are in
@@ -158,46 +177,40 @@ class _ForestSearch:
             raise BudgetExceeded(
                 f"linear-forest search for {what} exceeded its budget of "
                 f"{self.budget} states after exploring {len(memo)} states of "
-                f"a {self.n}-vertex graph with {len(self.sizes)} twin classes"
+                f"a {self.n}-vertex graph with {len(self.classes)} twin classes"
             )
-        counts, tail = state
-        sizes = self.sizes
         val, move, start = 0, None, -1
+        code = state & self.low
         # from an open path: extend by ascending class, then close; with no
         # open path: start by ascending class pair, then stop
-        if tail >= 0:
-            for e in self.nbr_classes[tail]:
-                if counts[e] < sizes[e]:
-                    nxt = list(counts)
-                    nxt[e] += 1
-                    child = (tuple(nxt), e)
+        if code:
+            base = state - code
+            for unit, field, full, e_code in self.moves[code - 1]:
+                if state & field < full:
+                    child = base + unit + e_code
                     v = 1 + self.best(child, need - 1)
                     if v > val:
                         if v >= need:
                             return v
                         val, move = v, child
-            child = (counts, -1)
-            v = self.best(child, need)
+            v = self.best(base, need)
             if v > val:
                 if v >= need:
                     return v
-                val, move = v, child
+                val, move = v, base
         else:
-            for c, nbrs in enumerate(self.nbr_classes):
-                if counts[c] >= sizes[c]:
+            for c, (c_unit, c_field, c_full, moves) in enumerate(self.starts):
+                if state & c_field >= c_full:
                     continue
-                for e in nbrs:
-                    if sizes[e] - counts[e] - (e == c) < 1:
-                        continue
-                    nxt = list(counts)
-                    nxt[c] += 1
-                    nxt[e] += 1
-                    child = (tuple(nxt), e)
-                    v = 1 + self.best(child, need - 1)
-                    if v > val:
-                        if v >= need:
-                            return v
-                        val, move, start = v, child, c
+                base = state + c_unit
+                for unit, field, full, e_code in moves:
+                    if base & field < full:
+                        child = base + unit + e_code
+                        v = 1 + self.best(child, need - 1)
+                        if v > val:
+                            if v >= need:
+                                return v
+                            val, move, start = v, child, c
         memo[state] = (val, move, start)
         return val
 
@@ -211,7 +224,7 @@ def max_linear_forest(g: Graph, budget: int = DEFAULT_BUDGET) -> ForestResult:
     """
     search = _ForestSearch(g, budget)
     size = search.run()
-    used = [0] * len(search.sizes)  # per class: members taken in index order
+    used = [0] * len(search.classes)  # per class: members taken in index order
 
     def take(c: int) -> int:
         used[c] += 1
@@ -219,13 +232,14 @@ def max_linear_forest(g: Graph, budget: int = DEFAULT_BUDGET) -> ForestResult:
 
     edges: list[tuple[int, int]] = []
     tail_vertex = -1
-    _, move, start = search.memo[search.root]
+    low = search.low
+    _, move, start = search.memo[0]
     while move is not None:
-        if move[1] < 0:
+        if not move & low:
             tail_vertex = -1
         else:
             u = take(start) if start >= 0 else tail_vertex
-            tail_vertex = take(move[1])
+            tail_vertex = take((move & low) - 1)
             edges.append((u, tail_vertex))
         _, move, start = search.memo[move]
     return ForestResult(size, tuple(edges))
@@ -523,7 +537,7 @@ def g_extremal(
     ``is_lk_free``.  The components are profiled by (lf, edges) and
     combined by an unbounded knapsack over the forest size (lf and degree
     are component-wise).  The range 0 <= k <= 6, 0 <= delta <= 4 is a
-    desk-scale time limit: g_extremal(6, 4) takes about 3 s (2 vCPU,
+    desk-scale time limit: g_extremal(6, 4) takes about 3.3 s (2 vCPU,
     Python 3.11).
     """
     if not 0 <= k <= 6:

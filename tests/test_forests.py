@@ -19,6 +19,7 @@ from linfor import (
     is_lk_free,
     matching_number,
     max_linear_forest,
+    parse_graph6,
     to_graph6,
     twin_classes,
 )
@@ -150,6 +151,49 @@ class TestMaxLinearForest:
                 max_linear_forest(disjoint_union(g, h)).size
                 == max_linear_forest(g).size + max_linear_forest(h).size
             )
+
+
+class TestForestSearch:
+    def test_target_mode_against_oracle(self):
+        # with an edge target k the search may stop early, but its value
+        # reaches k exactly when lf does and is lf itself below k
+        rng = random.Random(71)
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng, rng.random())
+            lf = lf_subset_dp(g)
+            for k in range(1, n + 1):
+                value = forests._ForestSearch(g, forests.DEFAULT_BUDGET, k).run()
+                assert (value >= k) == (lf >= k), (g.adj, k)
+                if value < k:
+                    assert value == lf, (g.adj, k)
+
+    @pytest.mark.parametrize("record, lf, states", [
+        ("LEfgKRG_@zsAo@", 12, 19464),
+        ("LGC@walJ??cGED", 11, 20422),
+        ("LBh`GGAg?_??Pl", 11, 15263),
+    ])
+    def test_heaviest_input_check_records(self, record, lf, states):
+        # the costliest records of the benchmark's n = 13 pool at k = 12; with
+        # next to no twin symmetry a state is nearly a vertex subset and a
+        # path end
+        g = parse_graph6(record)
+        assert max_linear_forest(g).size == lf_subset_dp(g) == lf
+        search = forests._ForestSearch(g, forests.DEFAULT_BUDGET, 12)
+        assert (search.run() >= 12) == (lf >= 12)
+        assert len(search.memo) == states
+
+    def test_packing_at_the_vertex_limit(self):
+        # one twin class of 63 or 64 vertices fills the widest count field
+        assert max_linear_forest(Graph.complete(MAX_VERTICES)).size == 63
+        assert max_linear_forest(Graph.empty(MAX_VERTICES)).size == 0
+        assert max_linear_forest(Graph.star(MAX_VERTICES - 1)).size == 2
+        # every listed host for k is L_k-free with a (k - 1)-edge forest
+        for k in (8, 9):
+            hosts = listed_hosts(MAX_VERTICES, k)
+            assert hosts
+            for p in hosts:
+                assert max_linear_forest(build_host(p)).size == k - 1, p
 
 
 class TestTwinClasses:

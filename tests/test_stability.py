@@ -15,6 +15,7 @@ from linfor import (
     disjoint_union,
     to_graph6,
 )
+from linfor.forests import DEFAULT_BUDGET
 from linfor.verify import (
     EmbeddingCertificate,
     classify_matching_stability,
@@ -452,6 +453,26 @@ class TestCertifies:
                 else:
                     assert calls == list(order)
         assert answers == {True, False}
+
+    def test_says_no_to_every_forbidden_edge(self):
+        # on the benchmark grid each forbidden edge breaks the family, and a
+        # graph outside the family embeds in no listed host (freeness passes
+        # to subgraphs), so the suite's certification must answer no to all
+        refused = 0
+        for family, ks in ((LK_FREE, (7, 8, 9)), (MATCHING, (3, 4))):
+            for k in ks:
+                for n in (20, 30, 40):
+                    hosts = family.hosts(n, k)
+                    thr = family_threshold(family, n, k, 2, 0)
+                    for i, p in enumerate(hosts):
+                        order = [p, *hosts[:i], *hosts[i + 1 :]]
+                        host = build_host(p)
+                        for u, v in _forbidden_edges(host, p, random.Random(0)):
+                            g3 = host.with_edge(u, v)
+                            assert not family.contains(g3, k, None, DEFAULT_BUDGET)
+                            assert _certifies(g3, order, thr, 0) is False, (p, u, v)
+                            refused += 1
+        assert refused == 126
 
 
 class TestSuites:
