@@ -267,11 +267,11 @@ def _twin_classes_rows(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def edges_between(g: Graph, s: int, t: int) -> int:
-    """Number of edges with one end in ``s`` and the other in ``t``.
+    """Number of edges with one end in ``s`` and the other in ``t``, each
+    counted once.
 
-    Follows the e_G(S, T) convention: an edge inside the intersection is
-    counted once when s == t, and edges with both ends in s ∩ t are counted
-    twice when the sets differ over them.  Concretely this counts ordered
+    An edge with both ends in s ∩ t counts once too, so s == t gives the
+    edge count of the subgraph induced on s.  Concretely this counts ordered
     incidences (u in s, v in t, uv an edge) and halves the diagonal.
     """
     full = g.vertex_mask()

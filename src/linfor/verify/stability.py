@@ -71,26 +71,6 @@ def host_label(p: ConstructionParams) -> str:
     return f"H{marks[p.variant]}({p.n},{p.k},{p.a})"
 
 
-def _components(g: Graph, alive: int) -> list[int]:
-    """Connected components (as bitmasks) of the subgraph induced on alive."""
-    adj = g.adj
-    comps = []
-    todo = alive
-    while todo:
-        comp = frontier = todo & -todo
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & alive & ~comp
-            comp |= frontier
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
 def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     rest = g.vertex_mask() ^ amask
     # the rest vertices with a rest neighbour: exactly the vertices of the
@@ -103,11 +83,18 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     # B takes all of them except at most extra_edge_count K_2 components
     if covered.bit_count() - 2 * p.extra_edge_count > p.b_size:
         return None
-    # components are connected, so one with exactly two vertices is a K_2
-    designated = [c for c in _components(g, covered) if c.bit_count() == 2]
-    designated = designated[: p.extra_edge_count]
-    # components are disjoint, so the sum of their masks is their union
-    bmask = covered - sum(designated)
+    # a K_2 component of g - A is a pair v < u of covered vertices, each the
+    # other's only neighbour outside A; the lowest pairs become extra C-edges
+    pairs = []
+    if p.extra_edge_count:
+        for v in iter_bits(covered):
+            nbr = g.adj[v] & rest
+            u = nbr.bit_length() - 1
+            if nbr == 1 << u and u > v and g.adj[u] & rest == 1 << v:
+                pairs.append((v, u))
+        del pairs[p.extra_edge_count :]
+    # the pairs are disjoint, so the sum of their masks is their union
+    bmask = covered - sum(1 << v | 1 << u for v, u in pairs)
     if bmask.bit_count() > p.b_size:
         return None
     # pad B with isolated rest vertices, lowest index first
@@ -120,8 +107,7 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
         "A" if amask >> v & 1 else "B" if bmask >> v & 1 else "C"
         for v in range(g.n)
     )
-    extra_edges = tuple(tuple(iter_bits(comp)) for comp in designated)
-    cert = EmbeddingCertificate(p, parts, extra_edges)
+    cert = EmbeddingCertificate(p, parts, tuple(pairs))
     if not validate_embedding(g, cert):
         raise RuntimeError(f"embedding certificate failed validation: {cert}")
     return cert
@@ -153,8 +139,10 @@ def embeds_in_host(
     B/C possibility are forced into A, and remaining slots are filled over
     twin-class count vectors (interchangeable vertices are never permuted).
     Twin classes are computed only when a slot is left to fill.  An A-set is
-    refused before any component is built when B cannot hold the vertices
-    outside A with a neighbour outside A, less two per allowed extra edge.
+    refused by a count alone when B cannot hold the vertices outside A with a
+    neighbour outside A, less two per allowed extra edge; only then are the
+    extra C-edges sought, as pairs that are each other's sole neighbour
+    outside A.
     """
     if g.n != p.n:
         raise ValueError("embedding requires g.n == params.n")

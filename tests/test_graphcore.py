@@ -329,6 +329,8 @@ class TestQueries:
         k4 = Graph.complete(4)
         assert edges_between(k4, 0b0011, 0b1100) == 4
         assert edges_between(k4, 0, 0b1111) == 0
+        # the edge (0, 1) has both ends in s ∩ t and still counts once
+        assert edges_between(Graph.complete(3), 0b011, 0b111) == 3
         c5 = Graph.cycle(5)
         assert edges_between(c5, 0b11111, 0b11111) == 5
 

@@ -30,7 +30,7 @@ from linfor.verify import (
     stability_threshold,
     validate_embedding,
 )
-from linfor.verify.stability import _certifies, family_threshold
+from linfor.verify.stability import _certifies, _try_assignment, family_threshold
 from linfor.verify.suite import _delete_random_edges, _forbidden_edges
 from linfor.verify.theorems import LK_FREE, MATCHING
 
@@ -159,57 +159,66 @@ class TestEmbedsInHost:
     def test_against_naive_part_scan(self):
         from .oracles import embeds_in_host_naive
 
-        rng = random.Random(11)
-        positives = 0
-        for _ in range(400):
-            n = rng.randint(3, 8)
-            k = rng.randint(1, n)
-            a = rng.randint(0, k // 2)
-            if n - k + a < 0:
-                continue
-            variant = rng.choice(["plain", "plus", "plusplus"])
-            try:
-                p = ConstructionParams(n, k, a, variant)
-            except ValueError:
-                continue
-            mask = rng.randrange(1 << (n * (n - 1) // 2))
-            g = Graph.from_edge_mask(n, mask)
+        def random_pairs():
+            rng = random.Random(11)
+            for _ in range(400):
+                n = rng.randint(3, 8)
+                k = rng.randint(1, n)
+                a = rng.randint(0, k // 2)
+                if n - k + a < 0:
+                    continue
+                variant = rng.choice(["plain", "plus", "plusplus"])
+                try:
+                    p = ConstructionParams(n, k, a, variant)
+                except ValueError:
+                    continue
+                mask = rng.randrange(1 << (n * (n - 1) // 2))
+                yield Graph.from_edge_mask(n, mask), p
+
+        def small_sweep():
+            # every labeled graph on n <= 5 against every valid host
+            for n in range(1, 6):
+                hosts = []
+                for k, a, variant in itertools.product(
+                    range(1, n + 1), range(n // 2 + 1), ["plain", "plus", "plusplus"]
+                ):
+                    try:
+                        hosts.append(ConstructionParams(n, k, a, variant))
+                    except ValueError:
+                        continue
+                for mask in range(1 << (n * (n - 1) // 2)):
+                    g = Graph.from_edge_mask(n, mask)
+                    for p in hosts:
+                        yield g, p
+
+        positives = negatives = 0
+        for g, p in itertools.chain(random_pairs(), small_sweep()):
             cert = embeds_in_host(g, p)
-            assert (cert is not None) == embeds_in_host_naive(g, p), (n, k, a, variant, mask)
+            assert (cert is not None) == embeds_in_host_naive(g, p), (p, g.edge_mask())
             if cert is not None:
                 positives += 1
                 assert validate_embedding(g, cert)
-        assert positives > 20  # the comparison exercised real embeddings
+            else:
+                negatives += 1
+        # the comparison exercised real embeddings and real refusals
+        assert positives > 20 and negatives > 10_000
 
-    def test_b_overflow_by_one_after_extra_edges(self, monkeypatch):
+    def test_b_overflow_by_one_after_extra_edges(self):
         # H+(12, 6, 2): A = {0, 1}, B = {2, 3}, C = 4..11 with extra edge (4, 5)
-        from linfor.verify import stability
+        from .oracles import embeds_in_host_naive
 
-        seen = []
-        inner = stability._components
-
-        def record(g, alive):
-            seen.append(alive)
-            return inner(g, alive)
-
-        monkeypatch.setattr(stability, "_components", record)
         p = ConstructionParams(12, 6, 2, "plus")
         host = build_host(p)
-        # 4 non-singleton vertices less the 2 of an extra edge fill B exactly,
-        # and only those 4 are split into components; the lower K_2 becomes
+        # 4 non-singleton vertices less the 2 of an extra edge fill B exactly;
+        # both (2, 3) and (4, 5) are K_2 components, and the lower one becomes
         # the extra edge
-        cert = stability._try_assignment(host, p, 0b11)
+        cert = _try_assignment(host, p, 0b11)
         assert cert is not None and cert.extra_edges == ((2, 3),)
         assert "".join(cert.parts) == "AACCBBCCCCCC"
-        assert seen == [0b111100]
-        # the B-C edge (3, 6) leaves 5 - 2 vertices for the 2 slots of B: the
-        # count refuses before any component is split off
-        seen.clear()
+        # the B-C edge (3, 6) leaves 5 - 2 vertices for the 2 slots of B
         g = host.with_edge(3, 6)
-        assert stability._try_assignment(g, p, 0b11) is None
-        assert seen == []
+        assert _try_assignment(g, p, 0b11) is None
         assert embeds_in_host(g, p) is None
-        from .oracles import embeds_in_host_naive
         assert not embeds_in_host_naive(g, p)
 
     def test_certificates_pinned(self):
