@@ -7,7 +7,9 @@ k-1 edges.  ``max_linear_forest`` computes that maximum with a witness;
 answer: nu >= k means not free and 2 nu <= k - 1 means free, since the
 blossom matching number brackets lf as nu <= lf <= 2 nu; a linear forest of
 k or more edges, grown greedily from that matching, means not free; and only
-then the forest search runs, stopping at the first k-edge forest.
+then the forest search runs, stopping at the first k-edge forest.  A linear
+forest of p paths on n vertices has at most n - p edges, so a k-edge forest
+has at most n - k paths, and that search starts no more.
 
 The forest search builds paths edge by edge and memoizes on twin-collapsed
 states: vertices with identical neighborhoods (adjacent or not) are
@@ -114,15 +116,21 @@ class _ForestSearch:
     ``state & field[c] < full[c]`` (``full[c]`` is ``sizes[c] * unit[c]``),
     so a move to class e is ``base + unit[e] + (e + 1)`` with ``base`` the
     state less its tail code; a new path adds ``unit[c]`` of its first class
-    c to ``base`` first.  ``moves[c]`` lists ``(unit, field, full, e + 1)``
-    for each class e adjacent to c, by ascending e, and ``starts[c]`` is
-    ``(unit, field, full, moves)`` of c.  ``memo`` maps each fully explored
-    state to ``(value, next_state, start_class)``: its best completion and
-    the first move reaching it, where ``start_class`` is the class of a new
-    path's first vertex (-1 for an extension or a close).  A state left
-    early is never stored, so every entry is exact.  With an edge target
-    ``k`` the search stops at the first forest of k edges; without one it
-    computes the maximum.
+    c to ``base`` first.  With an edge target ``k`` one more field on top,
+    counted in units of ``allow``, holds the paths the search may still
+    start, so the empty start is ``max(0, n - k) * allow``: a k-edge linear
+    forest covers k + p vertices with p paths.  Each new path spends one,
+    and a state below ``allow`` starts none.  Without a target ``allow`` is
+    0.
+    ``moves[c]`` lists ``(unit, field, full, e + 1)`` for each class e
+    adjacent to c, by ascending e, and ``starts[c]`` is
+    ``(unit - allow, field, full, moves)`` of c.  ``memo`` maps each fully
+    explored state to ``(value, next_state, start_class)``: its best
+    completion and the first move reaching it, where ``start_class`` is the
+    class of a new path's first vertex (-1 for an extension or a close).  A
+    state left early is never stored, so every entry is exact for its key,
+    allowance included.  With an edge target ``k`` the search stops at the
+    first forest of k edges; without one it computes the maximum.
     """
 
     def __init__(self, g: Graph, budget: int, k: int | None = None) -> None:
@@ -142,11 +150,15 @@ class _ForestSearch:
         unit = [1 << (shift + c * width) for c in range(m)]
         field = [((1 << width) - 1) * u for u in unit]
         full = [s * u for s, u in zip(sizes, unit)]
+        self.allow = 0 if k is None else 1 << (shift + m * width)
         self.moves = [
             [(unit[e], field[e], full[e], e + 1) for e in range(m) if adjacent(c, e)]
             for c in range(m)
         ]
-        self.starts = list(zip(unit, field, full, self.moves))
+        self.starts = [
+            (u - self.allow, f, s, mv)
+            for u, f, s, mv in zip(unit, field, full, self.moves)
+        ]
         self.low = (1 << shift) - 1
         self.classes = classes
         self.budget = budget
@@ -155,13 +167,19 @@ class _ForestSearch:
         self.memo: dict[int, tuple] = {}
 
     def run(self) -> int:
-        """lf(g) when k is None; otherwise a value that is >= k iff lf(g) >= k."""
+        """lf(g) when k is None; otherwise a value that is >= k iff lf(g) >= k.
+
+        Below k that value is the most edges of a linear forest with at most
+        n - k paths, which may be less than lf(g).
+        """
         # g.n + 1 edges exceed every forest of g, even at n = 0, so the exact
         # search never stops early and stores every state it reaches
-        return self.best(0, self.n + 1 if self.k is None else self.k)
+        need = self.n + 1 if self.k is None else self.k
+        return self.best(max(0, self.n - need) * self.allow, need)
 
     def best(self, state: int, need: int) -> int:
-        """Edges of the best forest completing ``state``.
+        """Edges of the best forest completing ``state``; with a target, of
+        the best that starts no more paths than the state's allowance.
 
         Exact when below ``need``.  As soon as ``need`` more edges are in
         reach the search returns a value >= need without finishing.
@@ -198,7 +216,7 @@ class _ForestSearch:
                 if v >= need:
                     return v
                 val, move = v, base
-        else:
+        elif state >= self.allow:
             for c, (c_unit, c_field, c_full, moves) in enumerate(self.starts):
                 if state & c_field >= c_full:
                     continue
@@ -285,7 +303,9 @@ def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     ceil(l/2) edges), so nu >= k means not free and 2 nu <= k - 1 means free.
     Otherwise a greedy linear forest grown from the maximum matching with k
     or more edges means not free.  Only then does the forest search run,
-    stopping at the first k-edge forest.
+    stopping at the first k-edge forest.  It starts at most n - k paths: a
+    linear forest of p paths covers its edges plus p vertices, so every
+    k-edge forest has at most n - k paths.
 
     ``budget`` bounds that search alone and raises BudgetExceeded when it
     passes ``budget`` states; a graph decided by the bracket or the greedy
@@ -537,7 +557,7 @@ def g_extremal(
     ``is_lk_free``.  The components are profiled by (lf, edges) and
     combined by an unbounded knapsack over the forest size (lf and degree
     are component-wise).  The range 0 <= k <= 6, 0 <= delta <= 4 is a
-    desk-scale time limit: g_extremal(6, 4) takes about 3.3 s (2 vCPU,
+    desk-scale time limit: g_extremal(6, 4) takes about 2.2 s (2 vCPU,
     Python 3.11).
     """
     if not 0 <= k <= 6:

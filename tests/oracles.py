@@ -79,42 +79,49 @@ def lf_subset_dp(g: Graph) -> int:
     return n - cover[size - 1]
 
 
-def lf_edge_subsets(g: Graph) -> int:
+def lf_edge_subsets(g: Graph, max_paths: int | None = None) -> int:
     """Max linear forest by filtering edge subsets, grown with pruning.
 
     Explores exactly the edge subsets that are linear forests (any subset
     failing the degree or acyclicity filter is abandoned with all its
-    supersets that extend it in order).
+    supersets that extend it in order).  With ``max_paths``, only forests of
+    at most that many paths count; a forest's paths are its covered vertices
+    less its edges.
     """
     edges = g.edges()
     m = len(edges)
+    cap = g.n if max_paths is None else max_paths
     best = 0
 
-    def rec(idx: int, deg: list[int], parent: list[int], size: int) -> None:
+    def rec(
+        idx: int, deg: list[int], parent: list[int], size: int, covered: int
+    ) -> None:
         nonlocal best
-        best = max(best, size)
+        if covered - size <= cap:
+            best = max(best, size)
         for j in range(idx, m):
             u, v = edges[j]
             if deg[u] >= 2 or deg[v] >= 2:
                 continue
-            ru, rv = _find(parent, u), _find(parent, v)
+            ru, rv = _root(parent, u), _root(parent, v)
             if ru == rv:
                 continue
+            grown = covered + (deg[u] == 0) + (deg[v] == 0)
             deg[u] += 1
             deg[v] += 1
             parent[ru] = rv
-            rec(j + 1, deg, parent, size + 1)
+            rec(j + 1, deg, parent, size + 1, grown)
             parent[ru] = ru
             deg[u] -= 1
             deg[v] -= 1
 
-    def _find(parent: list[int], x: int) -> int:
+    def _root(parent: list[int], x: int) -> int:
+        # no path compression: undoing a union must restore every pointer
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    rec(0, [0] * g.n, list(range(g.n)), 0)
+    rec(0, [0] * g.n, list(range(g.n)), 0, 0)
     return best
 
 

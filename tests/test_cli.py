@@ -229,14 +229,18 @@ class TestVerify:
         assert [row["r"] for row in json.loads(out)["reports"]] == [r]
 
     def test_input_graph_mode_honours_budget(self, capsys, tmp_path):
-        # K_4 is L_4-free, and nu = 2 <= lf = 3 <= 2 nu leaves it to the search
-        src = tmp_path / "k4.g6"
-        src.write_text("C~\n")
-        argv = ("verify", "theorem1", "--in", str(src), "--k", "4")
-        code, out, err = run(capsys, *argv, "--budget", "1")
+        # 2K_2 is L_3-free: nu = 2 leaves the bracket open and the greedy
+        # forest has 2 edges, so the search decides it
+        src = tmp_path / "2k2.g6"
+        src.write_text("CK\n")
+        code, out, err = run(
+            capsys, "verify", "theorem1", "--in", str(src), "--k", "3", "--budget", "1"
+        )
         assert code == 2
         assert "budget of 1 states" in err
-        code, out, _ = run(capsys, *argv)
+        src = tmp_path / "k4.g6"
+        src.write_text("C~\n")
+        code, out, _ = run(capsys, "verify", "theorem1", "--in", str(src), "--k", "4")
         assert code == 0
         # the report as printed before the freeness check became a decision
         assert hashlib.sha256(out.encode()).hexdigest() == (

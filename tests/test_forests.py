@@ -155,23 +155,36 @@ class TestMaxLinearForest:
 
 class TestForestSearch:
     def test_target_mode_against_oracle(self):
-        # with an edge target k the search may stop early, but its value
-        # reaches k exactly when lf does and is lf itself below k
+        # with an edge target k the search may stop early and starts at most
+        # n - k paths, but its value reaches k exactly when lf does and below
+        # k is the largest forest of at most n - k paths
         rng = random.Random(71)
-        for _ in range(150):
-            n = rng.randint(1, 10)
+        for _ in range(300):
+            n = rng.randint(1, 8)
             g = random_graph(n, rng, rng.random())
             lf = lf_subset_dp(g)
             for k in range(1, n + 1):
                 value = forests._ForestSearch(g, forests.DEFAULT_BUDGET, k).run()
                 assert (value >= k) == (lf >= k), (g.adj, k)
                 if value < k:
-                    assert value == lf, (g.adj, k)
+                    assert value == lf_edge_subsets(g, max_paths=n - k), (g.adj, k)
+
+    def test_target_mode_against_profile_table(self):
+        # the search alone, without the bracket or the greedy forest
+        rng = random.Random(73)
+        for n in range(7):
+            lf = graph_profiles(n, 2)
+            masks = range(len(lf)) if n <= 5 else rng.sample(range(len(lf)), 2000)
+            for mask in masks:
+                g = Graph.from_edge_mask(n, mask)
+                for k in range(1, n + 2):
+                    value = forests._ForestSearch(g, forests.DEFAULT_BUDGET, k).run()
+                    assert (value >= k) == (lf[mask] >= k), (n, mask, k)
 
     @pytest.mark.parametrize("record, lf, states", [
-        ("LEfgKRG_@zsAo@", 12, 19464),
-        ("LGC@walJ??cGED", 11, 20422),
-        ("LBh`GGAg?_??Pl", 11, 15263),
+        ("LEfgKRG_@zsAo@", 12, 4578),
+        ("LGC@walJ??cGED", 11, 6341),
+        ("LBh`GGAg?_??Pl", 11, 2755),
     ])
     def test_heaviest_input_check_records(self, record, lf, states):
         # the costliest records of the benchmark's n = 13 pool at k = 12; with
@@ -246,11 +259,14 @@ class TestIsLkFree:
                     assert is_lk_free(g, k) == (lf[mask] <= k - 1), (n, mask, k)
 
     def test_budget_exceeded_when_bracket_leaves_it_open(self):
-        # K_4: nu = 2 <= lf = 3 <= 2 nu = 4, so k = 4 needs the search
-        g = Graph.complete(4)
-        assert is_lk_free(g, 4)
-        with pytest.raises(BudgetExceeded, match="k = 4 exceeded its budget of 1 states"):
-            is_lk_free(g, 4, budget=1)
+        # 2K_2: nu = 2 <= lf = 2 <= 2 nu = 4 and the greedy forest has 2
+        # edges, so k = 3 needs the search, which explores 5 states
+        g = parse_graph6("CK")
+        assert g.edges() == [(1, 2), (0, 3)]
+        assert len(forests._greedy_linear_forest(g, matching_number(g).witness)) == 2
+        assert is_lk_free(g, 3)
+        with pytest.raises(BudgetExceeded, match="k = 3 exceeded its budget of 1 states"):
+            is_lk_free(g, 3, budget=1)
 
     def test_budget_bounds_only_the_search(self):
         # K_{1,3} at k = 2: nu = 1 leaves the bracket open, and the greedy
