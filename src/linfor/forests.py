@@ -469,11 +469,18 @@ def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int 
         yield from _class_choices(classes, left - take, idx + 1, mask | add)
 
 
+def _add_vertex(prows: tuple[int, ...], nbrs: int) -> Graph:
+    """The graph with rows ``prows`` plus one last vertex joined to ``nbrs``."""
+    n0 = len(prows)
+    rows = tuple(row | (nbrs >> v & 1) << n0 for v, row in enumerate(prows))
+    return Graph(n0 + 1, rows + (nbrs,))
+
+
 def _isomorphism_classes(
     top: int,
     room: Callable[[tuple[int, ...]], tuple[int, int]],
     empty: bool,
-    keep: Callable[[Graph], bool],
+    grow: Callable[[tuple[int, ...], int], Graph | None],
     budget: int,
 ):
     """Yield one graph per isomorphism class on 2..top vertices, level by level.
@@ -481,46 +488,41 @@ def _isomorphism_classes(
     Level s + 1 grows from level s (level 1 is the single vertex) by adding a
     vertex joined to some of the parent's vertices: ``room(rows)`` gives the
     parent's open vertices as a mask and how many of them the new vertex may
-    join, and with ``empty`` false it must join at least one.  A child that
-    fails ``keep`` is dropped; ``keep`` must be isomorphism-invariant and
-    inherited by the parents the rule grows from, and it runs before
-    labeling, so only kept children get a canonical key.  A kept child whose
-    key is already on its level is dropped too.  A class is then reached
-    when one of its graphs passes ``keep`` and loses a vertex to a reached
-    graph whose room admits that vertex's neighbors (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  Parents are walked in key
-    order, so the key's order, not only its equality, fixes which child
-    represents each class and hence its labels.  The new vertex of a child
-    on ``size`` vertices is ``size - 1``, so ``keep`` may rely on this: the
-    child's first ``size - 1`` rows, cut below the new vertex, are the rows
-    of a kept parent (yielded before any of its children; on level 2 the
-    single vertex ``(0,)``).  Attachment subsets are
-    enumerated up to parent twin-equivalence only: permuting interchangeable
-    parent vertices yields isomorphic children.  More than ``budget``
-    children that are refused or start a class raise BudgetExceeded.
+    join, and with ``empty`` false it must join at least one.  For a kept
+    parent's rows and each attachment mask, ``grow(prows, nbrs)`` returns
+    ``_add_vertex(prows, nbrs)`` to keep the child or None to refuse it, so
+    a hook deciding from the parent need not build it.  Its answer must be
+    isomorphism-invariant in the child and inherited by the parents the rule
+    grows from; it runs before labeling, so only kept children get a
+    canonical key.  Each parent is yielded before its children (level 2
+    grows from the single vertex ``(0,)``).  A kept child whose key is
+    already on its level is dropped too.  A class is then reached when one
+    of its graphs is kept and loses a vertex to a reached graph whose room
+    admits that vertex's neighbors (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998).  Parents are walked in key order, so
+    the key's order, not only its equality, fixes which child represents
+    each class and hence its labels.  Attachment subsets are enumerated up
+    to parent twin-equivalence only: permuting interchangeable parent
+    vertices yields isomorphic children.  More than ``budget`` children that
+    are refused or start a class raise BudgetExceeded.
     """
     from .canon import refined_canonical_key
 
     level: dict[tuple, tuple[int, ...]] = {(): (0,)}
     produced = 0
     for size in range(2, top + 1):
-        n0 = size - 1
         nxt: dict[tuple, tuple[int, ...]] = {}
         for _, prows in sorted(level.items()):
             open_mask, cap = room(prows)
             open_classes = [
                 [v for v in cls if open_mask >> v & 1]
-                for cls in _twin_classes_rows(n0, prows)
+                for cls in _twin_classes_rows(size - 1, prows)
             ]
             for nb_mask in _class_choices([cls for cls in open_classes if cls], cap):
                 if not (nb_mask or empty):
                     continue
-                rows = tuple(
-                    row | ((nb_mask >> v & 1) << n0) for v, row in enumerate(prows)
-                ) + (nb_mask,)
-                child = Graph(size, rows)
-                kept = keep(child)
-                key = refined_canonical_key(size, rows) if kept else None
+                child = grow(prows, nb_mask)
+                key = None if child is None else refined_canonical_key(size, child.adj)
                 if key in nxt:
                     continue
                 produced += 1
@@ -530,9 +532,9 @@ def _isomorphism_classes(
                         f"at the {size}-vertex level, which had kept {len(nxt)} "
                         f"classes"
                     )
-                if not kept:
+                if child is None:
                     continue
-                nxt[key] = rows
+                nxt[key] = child.adj
                 yield child
         if not nxt:
             break
@@ -552,13 +554,14 @@ def g_extremal(
     A connected graph with max degree <= delta and lf <= k has boundedly
     many vertices, so growth ends at the first empty level, and ``budget``
     bounds it either way.  Each grown class's maximum linear forest is kept,
-    and a child's lf <= k is first bracketed from its parent's forest (see
-    ``_child_lf_bracket``); only a child the bracket leaves open goes to
-    ``is_lk_free``.  The components are profiled by (lf, edges) and
-    combined by an unbounded knapsack over the forest size (lf and degree
-    are component-wise).  The range 0 <= k <= 6, 0 <= delta <= 4 is a
-    desk-scale time limit: g_extremal(6, 4) takes about 2.2 s (2 vCPU,
-    Python 3.11).
+    and a child's lf <= k is bracketed from its parent's forest (see
+    ``_child_lf_bracket``) before the child is built; only a child the
+    bracket leaves open goes to ``is_lk_free``.  The components are
+    profiled by (lf, edges) and combined by an unbounded knapsack over the
+    forest size (lf and degree are component-wise).  The range 0 <= k <= 6,
+    0 <= delta <= 4 is a desk-scale time limit: g_extremal(6, 4) takes
+    about 2 s (2 vCPU, Python 3.11).  A BudgetExceeded raised inside names
+    k and delta.
     """
     if not 0 <= k <= 6:
         raise ValueError("g_extremal supports 0 <= k <= 6")
@@ -576,30 +579,27 @@ def g_extremal(
         open_mask = sum(1 << v for v, deg in enumerate(degs) if deg < delta)
         return open_mask, min(delta, max_edges - sum(degs) // 2)
 
-    # _forest_paths of each kept class's maximum forest, by rows; level 2
-    # grows from the single vertex
+    # each kept class's _forest_paths by rows, from the single vertex (0,)
     parents: dict[tuple[int, ...], tuple[int, list[int]]] = {(0,): (0, [0])}
 
-    def keep(child: Graph) -> bool:
-        v = child.n - 1
-        below = (1 << v) - 1
-        parent = parents[tuple(row & below for row in child.adj[:v])]
-        lo, hi = _child_lf_bracket(parent, child.adj[v])
-        if hi <= k:
-            return True
+    def grow(prows: tuple[int, ...], nbrs: int) -> Graph | None:
+        lo, hi = _child_lf_bracket(parents[prows], nbrs)
         if lo > k:
-            return False
-        return is_lk_free(child, k + 1, budget=budget)
+            return None
+        child = _add_vertex(prows, nbrs)
+        return child if hi <= k or is_lk_free(child, k + 1, budget=budget) else None
 
     # best connected component per exact forest size
     best_comp: dict[int, tuple[int, Graph]] = {}
-    for comp in _isomorphism_classes(MAX_VERTICES, room, False, keep, budget):
-        forest = max_linear_forest(comp, budget=budget)
-        parents[comp.adj] = _forest_paths(comp.n, forest)
-        f = forest.size
-        cur = best_comp.get(f)
-        if cur is None or comp.edge_count > cur[0]:
-            best_comp[f] = (comp.edge_count, comp)
+    try:
+        for comp in _isomorphism_classes(MAX_VERTICES, room, False, grow, budget):
+            forest = max_linear_forest(comp, budget=budget)
+            parents[comp.adj] = _forest_paths(comp.n, forest)
+            cur = best_comp.get(forest.size)
+            if cur is None or comp.edge_count > cur[0]:
+                best_comp[forest.size] = (comp.edge_count, comp)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"g_extremal at k = {k}, delta = {delta}: {exc}") from exc
 
     dp: list[tuple[int, list[Graph]]] = [(0, [])]
     for j in range(1, k + 1):

@@ -25,7 +25,7 @@ from functools import cache
 from typing import Callable, Iterator
 
 from ..canon import canonical_graph
-from ..forests import DEFAULT_BUDGET, _isomorphism_classes
+from ..forests import DEFAULT_BUDGET, _add_vertex, _isomorphism_classes
 from ..graphcore import Graph
 
 ENUMERATION_CEILING = 8
@@ -38,9 +38,9 @@ def _classes(n: int) -> tuple[Graph, ...]:
     at n = 8 they take about 15 s to build and 3 MB to keep."""
     if n < 2:
         return (Graph.empty(n),)
-    # every vertex open, no cap on the attachment, nothing filtered
+    # every vertex open, no cap on the attachment, every child kept
     grown = _isomorphism_classes(n, lambda rows: ((1 << len(rows)) - 1, len(rows)),
-                                 True, lambda g: True, DEFAULT_BUDGET)
+                                 True, _add_vertex, DEFAULT_BUDGET)
     return tuple(sorted((canonical_graph(g) for g in grown if g.n == n),
                         key=Graph.edge_mask))
 

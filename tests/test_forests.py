@@ -474,61 +474,79 @@ class TestGExtremal:
         with pytest.raises(BudgetExceeded) as exc:
             g_extremal(4, 3, budget=100)
         assert str(exc.value) == (
+            "g_extremal at k = 4, delta = 3: "
             "isomorphism-class enumeration exceeded 100 graphs "
             "at the 6-vertex level, which had kept 6 classes"
         )
         assert g_extremal(4, 3, budget=200)[0] == g_extremal(4, 3)[0] == 7
 
     def test_parent_bracket_agrees_with_freeness(self, monkeypatch):
-        # keep decides most children from the parent's maximum forest; each
-        # child it decides so gets is_lk_free's answer
+        # the hook decides most children from the parent's maximum forest;
+        # each child it decides so gets is_lk_free's answer, and it builds
+        # only the children it keeps or passes to is_lk_free
         searched = []
+        built = []
 
         def counting_is_lk_free(g, k, budget):
             searched.append(g)
             return is_lk_free(g, k, budget=budget)
 
+        add_vertex = forests._add_vertex
+
+        def counting_add_vertex(prows, nbrs):
+            built.append(nbrs)
+            return add_vertex(prows, nbrs)
+
         grow = forests._isomorphism_classes
         children = []
 
-        def recording_classes(top, room, empty, keep, budget):
-            def recording_keep(child):
-                before = len(searched)
-                answer = keep(child)
-                children.append((child, answer, len(searched) == before))
-                return answer
+        def recording_classes(top, room, empty, hook, budget):
+            def recording_hook(prows, nbrs):
+                before = len(searched), len(built)
+                child = hook(prows, nbrs)
+                decided = len(searched) == before[0]
+                children.append((add_vertex(prows, nbrs), child, decided,
+                                 len(built) > before[1]))
+                return child
 
-            return grow(top, room, empty, recording_keep, budget)
+            return grow(top, room, empty, recording_hook, budget)
 
         grid = extremal_grid()  # built unpatched
         monkeypatch.setattr(forests, "is_lk_free", counting_is_lk_free)
+        monkeypatch.setattr(forests, "_add_vertex", counting_add_vertex)
         monkeypatch.setattr(forests, "_isomorphism_classes", recording_classes)
-        kept = refused = 0
+        kept = refused = total = 0
         for k in range(6):
             for delta in range(5):
                 children.clear()
                 assert g_extremal(k, delta) == grid[k, delta]
-                for child, answer, decided in children:
+                for full, child, decided, was_built in children:
+                    assert child is None or child == full
+                    # built iff the bracket keeps it or leaves it open
+                    assert was_built == (not decided or child is not None)
                     if decided:
-                        assert answer == is_lk_free(child, k + 1), (k, delta)
-                        kept += answer
-                        refused += not answer
+                        assert (child is not None) == is_lk_free(full, k + 1), (k, delta)
+                        kept += child is not None
+                        refused += child is None
+                total += len(children)
         # 9,402 children: 479 kept and 7,345 refused by the bracket, 1,578
-        # passed to is_lk_free
+        # passed to is_lk_free; only 479 + 1,578 of them are built
         assert (kept, refused, len(searched)) == (479, 7345, 1578)
+        assert (total, len(built)) == (9402, 479 + 1578)
 
     def test_class_generator_meets_chvatal_hanson(self):
         # components with nu <= k and max degree <= delta, grown by the class
         # generator, and combined over nu, give the published maximum
-        pairs = [(k, delta) for k in range(1, 4) for delta in range(1, 5)] + [(4, 2)]
+        pairs = [(k, delta) for k in range(1, 4) for delta in range(1, 5)] + [(4, 2), (4, 3)]
         for k, delta in pairs:
             def room(rows):
                 open_mask = sum(1 << v for v, row in enumerate(rows)
                                 if row.bit_count() < delta)
                 return open_mask, delta
 
-            def nu_at_most_k(g):
-                return not has_disjoint_edges(g, k + 1)
+            def nu_at_most_k(prows, nbrs):
+                child = forests._add_vertex(prows, nbrs)
+                return None if has_disjoint_edges(child, k + 1) else child
 
             best: dict[int, int] = {}
             for comp in forests._isomorphism_classes(
@@ -567,8 +585,8 @@ class TestGExtremal:
         def every(rows):
             return (1 << len(rows)) - 1, len(rows)
 
-        def refuse(g):
-            return False
+        def refuse(prows, nbrs):
+            return None
 
         assert list(forests._isomorphism_classes(4, every, True, refuse, 2)) == []
         with pytest.raises(BudgetExceeded) as exc:
