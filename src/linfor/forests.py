@@ -469,42 +469,45 @@ def _class_choices(classes: list[list[int]], left: int, idx: int = 0, mask: int 
         yield from _class_choices(classes, left - take, idx + 1, mask | add)
 
 
-def _add_vertex(prows: tuple[int, ...], nbrs: int) -> Graph:
-    """The graph with rows ``prows`` plus one last vertex joined to ``nbrs``."""
+def _add_vertex(prows: tuple[int, ...], nbrs: int) -> tuple[int, ...]:
+    """The rows of ``prows`` plus one last vertex joined to ``nbrs``."""
     n0 = len(prows)
-    rows = tuple(row | (nbrs >> v & 1) << n0 for v, row in enumerate(prows))
-    return Graph(n0 + 1, rows + (nbrs,))
+    return tuple(row | (nbrs >> v & 1) << n0 for v, row in enumerate(prows)) + (nbrs,)
 
 
 def _isomorphism_classes(
     top: int,
-    room: Callable[[tuple[int, ...]], tuple[int, int]],
+    delta: int,
     empty: bool,
-    grow: Callable[[tuple[int, ...], int], Graph | None],
+    grow: Callable[[tuple[int, ...], int], tuple[int, ...] | None],
     budget: int,
 ):
-    """Yield one graph per isomorphism class on 2..top vertices, level by level.
+    """Yield one graph per isomorphism class on 2..top vertices with max
+    degree <= delta, level by level.
 
     Level s + 1 grows from level s (level 1 is the single vertex) by adding a
-    vertex joined to some of the parent's vertices: ``room(rows)`` gives the
-    parent's open vertices as a mask and how many of them the new vertex may
-    join, and with ``empty`` false it must join at least one.  For a kept
-    parent's rows and each attachment mask, ``grow(prows, nbrs)`` returns
-    ``_add_vertex(prows, nbrs)`` to keep the child or None to refuse it, so
-    a hook deciding from the parent need not build it.  Its answer must be
-    isomorphism-invariant in the child and inherited by the parents the rule
-    grows from; it runs before labeling, so only kept children get a
-    canonical key.  Each parent is yielded before its children (level 2
-    grows from the single vertex ``(0,)``).  A kept child whose key is
-    already on its level is dropped too.  A class is then reached when one
-    of its graphs is kept and loses a vertex to a reached graph whose room
-    admits that vertex's neighbors (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 1998).  Parents are walked in key order, so
-    the key's order, not only its equality, fixes which child represents
-    each class and hence its labels.  Attachment subsets are enumerated up
-    to parent twin-equivalence only: permuting interchangeable parent
-    vertices yields isomorphic children.  More than ``budget`` children that
-    are refused or start a class raise BudgetExceeded.
+    vertex joined to at most ``delta`` of the parent's vertices of degree
+    below ``delta``, and with ``empty`` false to at least one.  For a kept
+    parent's rows and each attachment mask, ``grow(prows, nbrs)`` returns the
+    child's rows ``_add_vertex(prows, nbrs)`` to keep it or None to refuse
+    it, so a hook deciding from the parent need not build it.  Its answer
+    must be isomorphism-invariant and inherited by induced subgraphs.  Kept
+    rows are keyed by ``refined_canonical_key``; a child whose key is
+    already on its level is dropped, and only a child that starts a class is
+    built as a ``Graph`` and yielded, each parent before its children (level
+    2 grows from the single vertex ``(0,)``).
+
+    Every kept class is reached, by induction on its size (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998): max degree
+    <= delta is hereditary, so deleting a vertex v (one that leaves the
+    graph connected, when ``empty`` is false) leaves a kept graph in which
+    v's at most delta neighbours have degree below delta.  Parents are
+    walked in key order, so the key's order, not only its equality, fixes
+    which child represents each class and hence its labels.  Attachment
+    subsets are enumerated up to parent twin-equivalence only: permuting
+    interchangeable parent vertices yields isomorphic children.  More than
+    ``budget`` children that are refused or start a class raise
+    BudgetExceeded.
     """
     from .canon import refined_canonical_key
 
@@ -513,16 +516,15 @@ def _isomorphism_classes(
     for size in range(2, top + 1):
         nxt: dict[tuple, tuple[int, ...]] = {}
         for _, prows in sorted(level.items()):
-            open_mask, cap = room(prows)
             open_classes = [
-                [v for v in cls if open_mask >> v & 1]
+                [v for v in cls if prows[v].bit_count() < delta]
                 for cls in _twin_classes_rows(size - 1, prows)
             ]
-            for nb_mask in _class_choices([cls for cls in open_classes if cls], cap):
+            for nb_mask in _class_choices([cls for cls in open_classes if cls], delta):
                 if not (nb_mask or empty):
                     continue
-                child = grow(prows, nb_mask)
-                key = None if child is None else refined_canonical_key(size, child.adj)
+                rows = grow(prows, nb_mask)
+                key = None if rows is None else refined_canonical_key(size, rows)
                 if key in nxt:
                     continue
                 produced += 1
@@ -532,10 +534,10 @@ def _isomorphism_classes(
                         f"at the {size}-vertex level, which had kept {len(nxt)} "
                         f"classes"
                     )
-                if child is None:
+                if rows is None:
                     continue
-                nxt[key] = child.adj
-                yield child
+                nxt[key] = rows
+                yield Graph(size, rows)
         if not nxt:
             break
         level = nxt
@@ -547,52 +549,40 @@ def g_extremal(
     """Maximum edges of a graph with max linear forest <= k and max degree <= delta.
 
     Connected components on 2 or more vertices are grown one vertex at a
-    time, one per isomorphism class; each new vertex joins a nonempty set of
-    vertices of degree below delta.  The filters (lf <= k, max degree <=
-    delta, the edge cap) are subgraph-monotone and every connected graph has
-    a vertex whose removal leaves it connected, so every class is reached.
-    A connected graph with max degree <= delta and lf <= k has boundedly
-    many vertices, so growth ends at the first empty level, and ``budget``
-    bounds it either way.  Each grown class's maximum linear forest is kept,
-    and a child's lf <= k is bracketed from its parent's forest (see
-    ``_child_lf_bracket``) before the child is built; only a child the
-    bracket leaves open goes to ``is_lk_free``.  The components are
-    profiled by (lf, edges) and combined by an unbounded knapsack over the
-    forest size (lf and degree are component-wise).  The range 0 <= k <= 6,
-    0 <= delta <= 4 is a desk-scale time limit: g_extremal(6, 4) takes
-    about 2 s (2 vCPU, Python 3.11).  A BudgetExceeded raised inside names
-    k and delta.
+    time by ``_isomorphism_classes``, one per isomorphism class of max degree
+    <= delta; the filter lf <= k is subgraph-monotone, so every class is
+    reached.  A connected graph with max degree <= delta and lf <= k has
+    boundedly many vertices, so growth ends at the first empty level, and
+    ``budget`` bounds it either way.  Each grown class's maximum linear
+    forest is kept, and a child's lf <= k is bracketed from its parent's
+    forest (see ``_child_lf_bracket``) before the child is built; only a
+    child the bracket leaves open goes to ``is_lk_free``.  The components
+    are profiled by (lf, edges) and combined by an unbounded knapsack over
+    the forest size (lf and degree are component-wise).  The range
+    0 <= k <= 6, 0 <= delta <= 4 is a desk-scale time limit: g_extremal(6, 4)
+    takes about 2 s (2 vCPU, Python 3.11).  A BudgetExceeded raised inside
+    names k and delta.
     """
     if not 0 <= k <= 6:
         raise ValueError("g_extremal supports 0 <= k <= 6")
     if not 0 <= delta <= 4:
         raise ValueError("g_extremal supports 0 <= delta <= 4")
-    if delta == 1:
-        max_edges = 1  # a connected graph with max degree 1 is a single edge
-    elif delta == 2:
-        max_edges = (3 * k) // 2
-    else:
-        max_edges = k * (delta - 1)
-
-    def room(rows: tuple[int, ...]) -> tuple[int, int]:
-        degs = [row.bit_count() for row in rows]
-        open_mask = sum(1 << v for v, deg in enumerate(degs) if deg < delta)
-        return open_mask, min(delta, max_edges - sum(degs) // 2)
-
     # each kept class's _forest_paths by rows, from the single vertex (0,)
     parents: dict[tuple[int, ...], tuple[int, list[int]]] = {(0,): (0, [0])}
 
-    def grow(prows: tuple[int, ...], nbrs: int) -> Graph | None:
+    def grow(prows: tuple[int, ...], nbrs: int) -> tuple[int, ...] | None:
         lo, hi = _child_lf_bracket(parents[prows], nbrs)
         if lo > k:
             return None
-        child = _add_vertex(prows, nbrs)
-        return child if hi <= k or is_lk_free(child, k + 1, budget=budget) else None
+        rows = _add_vertex(prows, nbrs)
+        if hi <= k or is_lk_free(Graph(len(rows), rows), k + 1, budget=budget):
+            return rows
+        return None
 
     # best connected component per exact forest size
     best_comp: dict[int, tuple[int, Graph]] = {}
     try:
-        for comp in _isomorphism_classes(MAX_VERTICES, room, False, grow, budget):
+        for comp in _isomorphism_classes(MAX_VERTICES, delta, False, grow, budget):
             forest = max_linear_forest(comp, budget=budget)
             parents[comp.adj] = _forest_paths(comp.n, forest)
             cur = best_comp.get(forest.size)

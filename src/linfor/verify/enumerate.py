@@ -35,12 +35,11 @@ ENUMERATION_CEILING = 8
 def _classes(n: int) -> tuple[Graph, ...]:
     """The minimum-mask graph of every isomorphism class on n vertices, in
     ascending mask.  Cached because every dedup oracle row at n reads them:
-    at n = 8 they take about 15 s to build and 3 MB to keep."""
+    at n = 8 they take about 10 s to build and 3 MB to keep."""
     if n < 2:
         return (Graph.empty(n),)
-    # every vertex open, no cap on the attachment, every child kept
-    grown = _isomorphism_classes(n, lambda rows: ((1 << len(rows)) - 1, len(rows)),
-                                 True, _add_vertex, DEFAULT_BUDGET)
+    # degree cap n - 1: every vertex open, any attachment, every child kept
+    grown = _isomorphism_classes(n, n - 1, True, _add_vertex, DEFAULT_BUDGET)
     return tuple(sorted((canonical_graph(g) for g in grown if g.n == n),
                         key=Graph.edge_mask))
 

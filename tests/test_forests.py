@@ -27,7 +27,7 @@ from linfor import forests
 from linfor.canon import refined_canonical_key
 from linfor.graphcore import MAX_VERTICES
 from linfor.verify import graph_profiles
-from linfor.verify import embeds_in_host, stability_suite
+from linfor.verify import embeds_in_host, enumerate_graphs, stability_suite
 from linfor.verify.stability import listed_hosts, matching_hosts
 from linfor.verify.suite import _forbidden_edges
 
@@ -478,7 +478,14 @@ class TestGExtremal:
             "isomorphism-class enumeration exceeded 100 graphs "
             "at the 6-vertex level, which had kept 6 classes"
         )
-        assert g_extremal(4, 3, budget=200)[0] == g_extremal(4, 3)[0] == 7
+        # children with more edges than lf <= 4 allows are proposed and
+        # refused by the parent bracket, and count against the budget too
+        with pytest.raises(BudgetExceeded) as exc:
+            g_extremal(4, 3, budget=201)
+        assert str(exc.value).endswith(
+            "exceeded 201 graphs at the 8-vertex level, which had kept 0 classes"
+        )
+        assert g_extremal(4, 3, budget=202)[0] == g_extremal(4, 3)[0] == 7
 
     def test_parent_bracket_agrees_with_freeness(self, monkeypatch):
         # the hook decides most children from the parent's maximum forest;
@@ -500,7 +507,7 @@ class TestGExtremal:
         grow = forests._isomorphism_classes
         children = []
 
-        def recording_classes(top, room, empty, hook, budget):
+        def recording_classes(top, delta, empty, hook, budget):
             def recording_hook(prows, nbrs):
                 before = len(searched), len(built)
                 child = hook(prows, nbrs)
@@ -509,7 +516,7 @@ class TestGExtremal:
                                  len(built) > before[1]))
                 return child
 
-            return grow(top, room, empty, recording_hook, budget)
+            return grow(top, delta, empty, recording_hook, budget)
 
         grid = extremal_grid()  # built unpatched
         monkeypatch.setattr(forests, "is_lk_free", counting_is_lk_free)
@@ -525,32 +532,29 @@ class TestGExtremal:
                     # built iff the bracket keeps it or leaves it open
                     assert was_built == (not decided or child is not None)
                     if decided:
-                        assert (child is not None) == is_lk_free(full, k + 1), (k, delta)
+                        free = is_lk_free(Graph(len(full), full), k + 1)
+                        assert (child is not None) == free, (k, delta)
                         kept += child is not None
                         refused += child is None
                 total += len(children)
-        # 9,402 children: 479 kept and 7,345 refused by the bracket, 1,578
+        # 9,440 children: 479 kept and 7,383 refused by the bracket, 1,578
         # passed to is_lk_free; only 479 + 1,578 of them are built
-        assert (kept, refused, len(searched)) == (479, 7345, 1578)
-        assert (total, len(built)) == (9402, 479 + 1578)
+        assert (kept, refused, len(searched)) == (479, 7383, 1578)
+        assert (total, len(built)) == (9440, 479 + 1578)
 
     def test_class_generator_meets_chvatal_hanson(self):
         # components with nu <= k and max degree <= delta, grown by the class
         # generator, and combined over nu, give the published maximum
         pairs = [(k, delta) for k in range(1, 4) for delta in range(1, 5)] + [(4, 2), (4, 3)]
         for k, delta in pairs:
-            def room(rows):
-                open_mask = sum(1 << v for v, row in enumerate(rows)
-                                if row.bit_count() < delta)
-                return open_mask, delta
-
             def nu_at_most_k(prows, nbrs):
-                child = forests._add_vertex(prows, nbrs)
-                return None if has_disjoint_edges(child, k + 1) else child
+                rows = forests._add_vertex(prows, nbrs)
+                child = Graph(len(rows), rows)
+                return None if has_disjoint_edges(child, k + 1) else rows
 
             best: dict[int, int] = {}
             for comp in forests._isomorphism_classes(
-                MAX_VERTICES, room, False, nu_at_most_k, forests.DEFAULT_BUDGET
+                MAX_VERTICES, delta, False, nu_at_most_k, forests.DEFAULT_BUDGET
             ):
                 nu = next(j for j in range(k + 1) if not has_disjoint_edges(comp, j + 1))
                 best[nu] = max(best.get(nu, 0), comp.edge_count)
@@ -582,20 +586,63 @@ class TestGExtremal:
 
         labeled.clear()
 
-        def every(rows):
-            return (1 << len(rows)) - 1, len(rows)
-
         def refuse(prows, nbrs):
             return None
 
-        assert list(forests._isomorphism_classes(4, every, True, refuse, 2)) == []
+        assert list(forests._isomorphism_classes(4, 3, True, refuse, 2)) == []
         with pytest.raises(BudgetExceeded) as exc:
-            list(forests._isomorphism_classes(4, every, True, refuse, 1))
+            list(forests._isomorphism_classes(4, 3, True, refuse, 1))
         assert str(exc.value) == (
             "isomorphism-class enumeration exceeded 1 graphs "
             "at the 2-vertex level, which had kept 0 classes"
         )
         assert labeled == []
+
+    def test_degree_cap_reaches_every_class(self, monkeypatch):
+        # max degree <= delta is hereditary, so the degree rule alone reaches
+        # every connected class with max degree <= delta, and only a child
+        # that starts a class is built as a Graph
+        def connected(g):
+            seen = todo = 1
+            while todo:
+                v = (todo & -todo).bit_length() - 1
+                todo ^= 1 << v
+                new = g.adj[v] & ~seen
+                seen |= new
+                todo |= new
+            return seen == (1 << g.n) - 1
+
+        built = 0
+        post_init = Graph.__post_init__
+
+        def counting_post_init(g):
+            nonlocal built
+            built += 1
+            post_init(g)
+
+        def grow(delta, empty):
+            nonlocal built
+            built = 0
+            monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+            grown = list(forests._isomorphism_classes(
+                6, delta, empty, forests._add_vertex, forests.DEFAULT_BUDGET
+            ))
+            monkeypatch.undo()
+            assert built == len(grown)
+            return grown
+
+        for delta in range(1, 5):
+            grown = grow(delta, False)
+            for n in range(2, 7):
+                got = sorted(canonical_graph(g).edge_mask() for g in grown if g.n == n)
+                want = [
+                    g.edge_mask() for g in enumerate_graphs(n, dedup=True)
+                    if connected(g) and max(g.degree(v) for v in range(n)) <= delta
+                ]
+                assert got == want, (n, delta)
+        # enumerate._classes(6)'s run builds 207 graphs, one per class on
+        # 2..6 vertices
+        assert len(grow(5, True)) == 207
 
     def test_matches_labeled_oracle_at_n7(self):
         # V_7 <= total, since every mask V_7 maximizes over is a graph that

@@ -21,6 +21,7 @@ from linfor.verify import (
     classify_matching_stability,
     classify_stability,
     embeds_in_host,
+    enumerate_graphs,
     host_label,
     listed_hosts,
     matching_hosts,
@@ -33,6 +34,19 @@ from linfor.verify import (
 from linfor.verify.stability import _certifies, _try_assignment, family_threshold
 from linfor.verify.suite import _delete_random_edges, _forbidden_edges
 from linfor.verify.theorems import LK_FREE, MATCHING
+
+
+def _valid_hosts(n):
+    """Every valid (k, a, variant) host on n vertices."""
+    hosts = []
+    for k, a, variant in itertools.product(
+        range(1, n + 1), range(n // 2 + 1), ["plain", "plus", "plusplus"]
+    ):
+        try:
+            hosts.append(ConstructionParams(n, k, a, variant))
+        except ValueError:
+            continue
+    return hosts
 
 
 class TestEmbedsInHost:
@@ -178,14 +192,7 @@ class TestEmbedsInHost:
         def small_sweep():
             # every labeled graph on n <= 5 against every valid host
             for n in range(1, 6):
-                hosts = []
-                for k, a, variant in itertools.product(
-                    range(1, n + 1), range(n // 2 + 1), ["plain", "plus", "plusplus"]
-                ):
-                    try:
-                        hosts.append(ConstructionParams(n, k, a, variant))
-                    except ValueError:
-                        continue
+                hosts = _valid_hosts(n)
                 for mask in range(1 << (n * (n - 1) // 2)):
                     g = Graph.from_edge_mask(n, mask)
                     for p in hosts:
@@ -202,6 +209,23 @@ class TestEmbedsInHost:
                 negatives += 1
         # the comparison exercised real embeddings and real refusals
         assert positives > 20 and negatives > 10_000
+
+    def test_against_naive_part_scan_on_n6_classes(self):
+        # one graph per isomorphism class on 6 vertices against every valid
+        # host: embedding is isomorphism-invariant, so this covers every
+        # labeled graph at n = 6
+        from .oracles import embeds_in_host_naive
+
+        hosts = _valid_hosts(6)
+        pairs = negatives = 0
+        for g in enumerate_graphs(6, dedup=True):
+            for p in hosts:
+                found = embeds_in_host(g, p) is not None
+                assert found == embeds_in_host_naive(g, p), (p, g.edge_mask())
+                pairs += 1
+                negatives += not found
+        # 156 classes against 32 hosts, 3,588 of the 4,992 answers "no"
+        assert (len(hosts), pairs, negatives) == (32, 4992, 3588)
 
     def test_b_overflow_by_one_after_extra_edges(self):
         # H+(12, 6, 2): A = {0, 1}, B = {2, 3}, C = 4..11 with extra edge (4, 5)
