@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constructions import ConstructionParams, build_host
+from .constructions import VARIANTS, ConstructionParams, build_host
 from .cliques import count_cliques
 from .forests import DEFAULT_BUDGET, BudgetExceeded
 from .graphcore import Graph6Error, read_graph6_lines, to_graph6
@@ -185,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True)
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--a", type=int, required=True)
-    pc.add_argument("--variant", choices=["plain", "plus", "plusplus"],
-                    default="plain")
+    pc.add_argument("--variant", choices=VARIANTS, default="plain")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=_cmd_construct)
 

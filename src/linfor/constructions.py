@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from .graphcore import MAX_VERTICES, Graph
 
-VARIANTS = ("plain", "plus", "plusplus")
-
-# extra C-edges required by each variant, hence minimum |C|
+# extra C-edges of each host variant, hence minimum |C|
 _EXTRA_EDGES = {"plain": 0, "plus": 1, "plusplus": 2}
+VARIANTS = tuple(_EXTRA_EDGES)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class ConstructionParams:
             raise ValueError(f"part B has negative size k-2a = {self.k - 2 * self.a}")
         if self.n - self.k + self.a < 0:
             raise ValueError(f"part C has negative size n-k+a = {self.n - self.k + self.a}")
-        need_c = 2 * _EXTRA_EDGES[self.variant]
+        need_c = 2 * self.extra_edge_count
         if self.c_size < need_c:
             raise ValueError(
                 f"variant {self.variant!r} needs |C| >= {need_c}, got {self.c_size}"

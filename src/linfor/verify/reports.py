@@ -31,19 +31,10 @@ CSV_COLUMNS = [
 
 
 def report_row(rep: TheoremReport) -> dict:
-    return {
-        "theorem": rep.theorem,
-        "n": rep.n,
-        "k": rep.k,
-        "r": rep.r,
-        "d": "" if rep.d is None else rep.d,
-        "kind": rep.kind,
-        "formula_value": rep.formula_value,
-        "oracle_value": rep.oracle_value,
-        "verdict": rep.verdict,
-        "witnesses": ";".join(rep.witnesses),
-        "note": rep.note,
-    }
+    row = {column: getattr(rep, column) for column in CSV_COLUMNS}
+    row["d"] = "" if rep.d is None else rep.d
+    row["witnesses"] = ";".join(rep.witnesses)
+    return row
 
 
 def reports_json(reports: list[TheoremReport]) -> str:

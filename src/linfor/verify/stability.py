@@ -67,8 +67,7 @@ def validate_embedding(g: Graph, cert: EmbeddingCertificate) -> bool:
 
 
 def host_label(p: ConstructionParams) -> str:
-    marks = {"plain": "", "plus": "+", "plusplus": "++"}
-    return f"H{marks[p.variant]}({p.n},{p.k},{p.a})"
+    return f"H{'+' * p.extra_edge_count}({p.n},{p.k},{p.a})"
 
 
 def _try_assignment(g: Graph, p: ConstructionParams, amask: int):

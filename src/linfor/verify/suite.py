@@ -78,6 +78,9 @@ def _run_suite(
         # above a some listed host has a part A of size <= d: its count is at
         # most the degree term h_r(n, K, d), or its min degree is below d
         raise ValueError(f"{theorem}: min degree must lie in 0..{a}, got {dd}")
+    # n >= K + 1, as for the oracles: at n = K every graph is in the family,
+    # so no forbidden edge could break it
+    family.check(theorem, n, k, 2, dd)
     rng = random.Random(seed)
     rows: list[TheoremReport] = []
     hosts = family.hosts(n, k)
@@ -85,60 +88,38 @@ def _run_suite(
 
     for i, p in enumerate(hosts):
         order = [p, *hosts[:i], *hosts[i + 1 :]]
+        label = host_label(p)
 
         def certifies(g: Graph, d: int) -> int:
             return int(_certifies(g, order, thresholds[d], d))
 
-        label = host_label(p)
+        def add(r, d, kind, formula, oracle, note, witnesses=()):
+            rows.append(TheoremReport(
+                theorem, n, k, r, d, kind, formula, oracle, witnesses,
+                note=f"{label}: {note}",
+            ))
+
         host = build_host(p)
-        rows.append(
-            TheoremReport(
-                theorem, n, k, 0, dd, "bound", *family.bound(host, k, budget),
-                (to_graph6(host),) if n <= 62 else (),
-                note=f"{label}: {family.bound_note}",
-            )
-        )
+        add(0, dd, "bound", *family.bound(host, k, budget), family.bound_note,
+            (to_graph6(host),) if n <= 62 else ())
         for r in r_values:
-            nr = count_cliques(host, r)
-            thr = family_threshold(family, n, k, r, dd)
-            rows.append(
-                TheoremReport(
-                    theorem, n, k, r, dd, "exceeds", thr, nr,
-                    note=f"{label}: clique count exceeds threshold",
-                )
-            )
-        rows.append(
-            TheoremReport(
-                theorem, n, k, 2, dd, "equality", 1, certifies(host, dd),
-                note=f"{label}: host certifies by embedding",
-            )
-        )
+            add(r, dd, "exceeds", family_threshold(family, n, k, r, dd),
+                count_cliques(host, r), "clique count exceeds threshold")
+        add(2, dd, "equality", 1, certifies(host, dd), "host certifies by embedding")
         edges = host.edges()
         ok = sum(
             certifies(_delete_random_edges(host, edges, rng), 0)
             for _ in range(samples)
         )
-        rows.append(
-            TheoremReport(
-                theorem, n, k, 2, 0, "equality", samples, ok,
-                note=f"{label}: random proper subgraphs certify",
-            )
-        )
+        add(2, 0, "equality", samples, ok, "random proper subgraphs certify")
         perturb_ok = 0
         cands = _forbidden_edges(host, p, rng)
         for u, v in cands:
             g3 = host.with_edge(u, v)
             kept = family.contains(g3, k, None, budget)
             perturb_ok += certifies(g3, 0) if kept else 1
-        rows.append(
-            TheoremReport(
-                theorem, n, k, 2, 0, "equality", len(cands), perturb_ok,
-                note=(
-                    f"{label}: forbidden edge breaks {family.breaks_note}"
-                    " or still certifies"
-                ),
-            )
-        )
+        add(2, 0, "equality", len(cands), perturb_ok,
+            f"forbidden edge breaks {family.breaks_note} or still certifies")
     return rows
 
 
@@ -151,7 +132,7 @@ def stability_suite(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> list[TheoremReport]:
-    """Construction-side checks of the stability classification at (k, n)."""
+    """Construction-side checks of the stability classification at (k, n > k)."""
     return _run_suite(LK_FREE, k, n, r_values, d, samples, seed, budget)
 
 
@@ -163,5 +144,5 @@ def matching_stability_suite(
     samples: int = 5,
     seed: int = 0,
 ) -> list[TheoremReport]:
-    """Construction-side checks of the matching stability result at (k, n)."""
+    """Construction-side checks of the matching stability result at (k, n > 2k + 1)."""
     return _run_suite(MATCHING, k, n, r_values, d, samples, seed, DEFAULT_BUDGET)

@@ -4,10 +4,12 @@ These deliberately share no code with the implementations they check:
 cliques are counted by scanning vertex subsets, linear forests by a
 Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
 subsets), matchings by a subset DP or a search for disjoint edges, twin
-classes by a pairwise row test, the degree-capped extremal count by a scan
-over labeled edge masks, the degree-capped matching count by a published
-closed form, Graph's row validation by a walk over every edge, and graph6 by
-a bit-string codec written from the format's definition.
+classes by a pairwise row test, upper bounds on linear forests and matchings
+by component counts (the A-set and Tutte-Berge bounds) with witness checks
+for the lower side, the degree-capped extremal count by a scan over labeled
+edge masks, the degree-capped matching count by a published closed form,
+Graph's row validation by a walk over every edge, and graph6 by a bit-string
+codec written from the format's definition.
 """
 
 from __future__ import annotations
@@ -184,6 +186,71 @@ def embeds_in_host_naive(g: Graph, p) -> bool:
             if disjoint:
                 return True
     return False
+
+
+def _component_sizes(g: Graph, removed) -> list[int]:
+    """Vertex counts of the components of g minus the vertices in
+    ``removed``, isolated vertices included, by a walk over vertex lists."""
+    removed = set(removed)
+    left = [v for v in range(g.n) if v not in removed]
+    seen: set[int] = set()
+    sizes = []
+    for root in left:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, size = [root], 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u in left:
+                if u not in seen and g.has_edge(u, v):
+                    seen.add(u)
+                    stack.append(u)
+        sizes.append(size)
+    return sizes
+
+
+def forest_upper_bound(g: Graph, a_set) -> int:
+    """lf(g) <= n + |A| - c(g - A) for any vertex set A, where c counts
+    components: each vertex of A has at most two forest edges, and the forest
+    edges inside g - A form a forest there."""
+    return g.n + len(a_set) - len(_component_sizes(g, a_set))
+
+
+def tutte_berge_bound(g: Graph, u_set) -> int:
+    """nu(g) <= floor((n + |U| - odd(g - U)) / 2) for any vertex set U, where
+    odd counts the components of odd order (Berge 1958)."""
+    odd = sum(size % 2 for size in _component_sizes(g, u_set))
+    return (g.n + len(u_set) - odd) // 2
+
+
+def is_linear_forest_in(g: Graph, edges) -> bool:
+    """Whether the edges are distinct edges of g with every degree at most 2
+    and no cycle, by a union-find over their ends."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    degree = [0] * g.n
+    for u, v in edges:
+        if not g.has_edge(u, v):
+            return False
+        degree[u] += 1
+        degree[v] += 1
+        if max(degree[u], degree[v]) > 2 or find(u) == find(v):
+            return False  # a repeated edge closes a cycle too
+        root[find(u)] = find(v)
+    return True
+
+
+def is_matching_in(g: Graph, edges) -> bool:
+    """Whether the edges are edges of g with no end in common."""
+    ends = [v for edge in edges for v in edge]
+    return len(set(ends)) == len(ends) and all(g.has_edge(u, v) for u, v in edges)
 
 
 def twin_classes_naive(g: Graph) -> list[tuple[int, ...]]:

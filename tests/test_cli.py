@@ -320,6 +320,10 @@ class TestVerify:
          "theorem7: min degree must lie in 0..1, got 2"),
         (("theorem4", "--d", "3"), "theorem4: min degree must lie in 0..1, got 3"),
         (("theorem4", "--d", "-1"), "theorem4: min degree must lie in 0..1, got -1"),
+        # at n = K every graph is in the family; below it the hosts do not exist
+        (("theorem4", "--k", "7", "--n", "7"), "theorem4 needs n >= 8, got n = 7"),
+        (("theorem4", "--k", "7", "--n", "6"), "theorem4 needs n >= 8, got n = 6"),
+        (("theorem7", "--k", "2", "--n", "5"), "theorem7 needs n >= 6, got n = 5"),
         (("theorem1", "--in", "-", "--k", "3", "--n", "99"),
          "--n does not apply with --in"),
         (("theorem1", "--n", "4", "--samples", "0"),
@@ -346,7 +350,8 @@ class TestVerify:
     ], ids=["theorem1_r", "theorem5_r", "theorem2_r2", "theorem1_d", "theorem2_d",
             "theorem5_d", "theorem4_dedup", "theorem7_dedup", "input_dedup",
             "theorem4_r1", "theorem7_r1", "theorem4_d2", "theorem4_k8_d2",
-            "theorem7_k3_d2", "theorem4_d3", "theorem4_d_negative", "input_n",
+            "theorem7_k3_d2", "theorem4_d3", "theorem4_d_negative", "theorem4_n7",
+            "theorem4_n6", "theorem7_n5", "input_n",
             "theorem1_samples", "theorem1_seed", "theorem1_budget",
             "theorem3_dedup_budget", "theorem7_budget", "input_theorem5_budget",
             "theorem4_budget0", "theorem4_in", "theorem7_in", "input_no_k",

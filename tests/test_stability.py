@@ -15,7 +15,7 @@ from linfor import (
     disjoint_union,
     to_graph6,
 )
-from linfor.forests import DEFAULT_BUDGET
+from linfor.forests import DEFAULT_BUDGET, matching_number, max_linear_forest
 from linfor.verify import (
     EmbeddingCertificate,
     classify_matching_stability,
@@ -34,6 +34,13 @@ from linfor.verify import (
 from linfor.verify.stability import _certifies, _try_assignment, family_threshold
 from linfor.verify.suite import _delete_random_edges, _forbidden_edges
 from linfor.verify.theorems import LK_FREE, MATCHING
+
+from .oracles import (
+    forest_upper_bound,
+    is_linear_forest_in,
+    is_matching_in,
+    tutte_berge_bound,
+)
 
 
 def _valid_hosts(n):
@@ -527,6 +534,29 @@ class TestSuites:
         # N_1 = n = h_1(n, K, a) for every graph, so r = 1 has no check
         with pytest.raises(ValueError, match=f"{theorem}: r must be at least 2, got 1"):
             suite(k, 20, r_values=[3, 1])
+
+    def test_bound_rows_certified_on_both_sides(self):
+        # each bound row's lf or nu on the benchmark grid is met by a witness
+        # from below and, with A = U = the host's part A, by the A-set or
+        # Tutte-Berge bound from above; the pinned digests pin only behaviour
+        grid = (
+            (LK_FREE, (7, 8, 9), max_linear_forest, is_linear_forest_in,
+             forest_upper_bound),
+            (MATCHING, (3, 4), matching_number, is_matching_in, tutte_berge_bound),
+        )
+        certified = 0
+        for family, ks, solve, is_witness, upper in grid:
+            for k in ks:
+                for n in range(20, 41, 2):
+                    for p in family.hosts(n, k):
+                        host = build_host(p)
+                        formula, oracle = family.bound(host, k, DEFAULT_BUDGET)
+                        witness = solve(host).witness
+                        assert is_witness(host, witness), p
+                        assert upper(host, range(p.a)) == len(witness) == oracle, p
+                        assert oracle == formula, p
+                        certified += 1
+        assert certified == 154
 
     def test_suite_deterministic(self):
         a = stability_suite(8, 21, samples=4, seed=9)
