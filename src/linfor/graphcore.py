@@ -61,10 +61,11 @@ _ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 @cache
 def _row_layout(n: int):
-    """(pack, s, bad, swaps) for n rows, built on first use.
+    """(pack, s, bad, swaps, ones) for n rows, built on first use.
 
     pack writes the rows at a stride s >= n, bit v*s + u holding entry
-    (v, u); bad marks each row's bits at or above n and its diagonal bit.
+    (v, u); bad marks each row's bits at or above n and its diagonal bit,
+    and ones each row's bit 0.
     Each swap (shift, mask) exchanges bit i of the mask with bit i + shift:
     entry (r, c) with r & j clear and c & j set trades places with
     (r + j, c - j).  For j = s/2, ..., 1 they transpose the s x s matrix
@@ -79,7 +80,31 @@ def _row_layout(n: int):
         cols = sum(1 << c for c in range(s) if c & j)
         swaps.append((j * (s - 1), sum(cols << r * s for r in range(s) if not r & j)))
         j //= 2
-    return struct.Struct(f"<{n}{_ROW_CODES[s]}").pack, s, bad, tuple(swaps)
+    ones = sum(1 << v * s for v in range(n))
+    return struct.Struct(f"<{n}{_ROW_CODES[s]}").pack, s, bad, tuple(swaps), ones
+
+
+# a byte reads "0" when zero and "1" otherwise
+_NONZERO = b"0" + b"1" * 255
+
+
+def _mask_of(flags: str | bytes) -> int:
+    """The vertex mask whose bit v is set when flags[v] is "1"."""
+    return int(flags[::-1] or "0", 2)
+
+
+def _touching(adj: tuple[int, ...], mask: int) -> int:
+    """The vertices with a neighbour in ``mask``: the union of mask's rows,
+    as the rows are symmetric.  Each packed row is ANDed with mask and
+    OR-folded into its lowest byte, which is nonzero iff the row meets mask."""
+    pack, s, _, _, ones = _row_layout(len(adj))
+    met = int.from_bytes(pack(*adj), "little") & mask * ones
+    shift = s // 2
+    while shift >= 8:
+        met |= met >> shift
+        shift //= 2
+    low = met.to_bytes(len(adj) * s // 8, "little")[:: s // 8]
+    return _mask_of(low.translate(_NONZERO))
 
 
 @dataclass(frozen=True)
@@ -101,7 +126,7 @@ class Graph:
         adj = self.adj
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
-        pack, s, bad, swaps = _row_layout(n)
+        pack, s, bad, swaps, _ = _row_layout(n)
         try:
             packed = int.from_bytes(pack(*adj), "little")
             fault = packed & bad
@@ -189,7 +214,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         out = []

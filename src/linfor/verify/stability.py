@@ -17,10 +17,15 @@ from ..cliques import count_cliques
 # the host lists live with the constructions and are re-exported here
 from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
 from ..forests import BudgetExceeded, matching_number, twin_classes
-from ..graphcore import Graph, iter_bits
+from ..graphcore import Graph, _mask_of, _touching, iter_bits
 from .theorems import LK_FREE, MATCHING, Family
 
 EMBED_BUDGET = 200_000
+
+_PARTS = frozenset("ABC")
+# str.translate tables: "A", or "B", reads "1" and the other labels "0"
+_A_FLAGS = str.maketrans("ABC", "100")
+_B_FLAGS = str.maketrans("ABC", "010")
 
 
 @dataclass(frozen=True)
@@ -36,34 +41,29 @@ def validate_embedding(g: Graph, cert: EmbeddingCertificate) -> bool:
     """Check the certificate against its invariants on g."""
     p = cert.params
     n = g.n
-    if n != p.n or len(cert.parts) != n:
+    if n != p.n or len(cert.parts) != n or not _PARTS.issuperset(cert.parts):
         return False
-    masks = {"A": 0, "B": 0, "C": 0}
-    for v, part in enumerate(cert.parts):
-        if part not in masks:
-            return False
-        masks[part] |= 1 << v
-    amask, bmask, cmask = masks["A"], masks["B"], masks["C"]
+    labels = "".join(cert.parts)
+    amask = _mask_of(labels.translate(_A_FLAGS))
+    bmask = _mask_of(labels.translate(_B_FLAGS))
+    cmask = g.vertex_mask() ^ amask ^ bmask
     if amask.bit_count() != p.a or bmask.bit_count() != p.b_size:
         return False
     if len(cert.extra_edges) > p.extra_edge_count:
         return False
-    extra = [0] * n  # the C-edge partner of each vertex, as a mask
+    paired = 0
     for u, v in cert.extra_edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             return False
         pair = 1 << u | 1 << v
-        if pair & ~cmask or extra[u] or extra[v]:
+        if pair & ~cmask or pair & paired:
             return False  # extra edges join C vertices and are independent
-        extra[u], extra[v] = 1 << v, 1 << u
-    b_allowed = amask | bmask
-    for v, row in enumerate(g.adj):
-        if bmask >> v & 1:
-            if row & ~b_allowed:
-                return False
-        elif cmask >> v & 1 and row & ~(amask | extra[v]):
-            return False
-    return True
+        if (g.adj[u] | g.adj[v]) & cmask & ~pair:
+            return False  # each end's only C-neighbour is the other
+        paired |= pair
+    # by symmetry, B rows stay in A ∪ B and unpaired C rows in A exactly
+    # when no C vertex has a neighbour in B or among the unpaired C vertices
+    return not _touching(g.adj, bmask | cmask & ~paired) & cmask
 
 
 def host_label(p: ConstructionParams) -> str:
@@ -74,11 +74,7 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     rest = g.vertex_mask() ^ amask
     # the rest vertices with a rest neighbour: exactly the vertices of the
     # components of g - A with two vertices or more
-    covered = 0
-    for v, row in enumerate(g.adj):
-        if rest >> v & 1:
-            covered |= row
-    covered &= rest
+    covered = _touching(g.adj, rest) & rest
     # B takes all of them except at most extra_edge_count K_2 components
     if covered.bit_count() - 2 * p.extra_edge_count > p.b_size:
         return None
@@ -91,7 +87,8 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
             u = nbr.bit_length() - 1
             if nbr == 1 << u and u > v and g.adj[u] & rest == 1 << v:
                 pairs.append((v, u))
-        del pairs[p.extra_edge_count :]
+                if len(pairs) == p.extra_edge_count:
+                    break
     # the pairs are disjoint, so the sum of their masks is their union
     bmask = covered - sum(1 << v | 1 << u for v, u in pairs)
     if bmask.bit_count() > p.b_size:
@@ -102,11 +99,11 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
         low = spare & -spare
         bmask |= low
         spare ^= low
-    parts = tuple(
-        "A" if amask >> v & 1 else "B" if bmask >> v & 1 else "C"
-        for v in range(g.n)
-    )
-    cert = EmbeddingCertificate(p, parts, tuple(pairs))
+    labels = bytearray(b"C" * g.n)
+    for label, mask in ((65, amask), (66, bmask)):  # "A", "B"
+        for v in iter_bits(mask):
+            labels[v] = label
+    cert = EmbeddingCertificate(p, tuple(labels.decode()), tuple(pairs))
     if not validate_embedding(g, cert):
         raise RuntimeError(f"embedding certificate failed validation: {cert}")
     return cert
@@ -148,10 +145,9 @@ def embeds_in_host(
     cap_b = p.a + p.b_size - 1
     cap_c = p.a + (1 if p.extra_edge_count else 0)
     non_a_cap = max(cap_b, cap_c) if p.n > p.a else -1
-    forced = 0
-    for v, row in enumerate(g.adj):
-        if row.bit_count() > non_a_cap:
-            forced |= 1 << v
+    # one byte per degree; the table reads "1" for a degree above the cap
+    above = b"0" * (non_a_cap + 1) + b"1" * (255 - non_a_cap)
+    forced = _mask_of(bytes(map(int.bit_count, g.adj)).translate(above))
     if forced.bit_count() > p.a:
         return None
     need = p.a - forced.bit_count()

@@ -15,7 +15,7 @@ import random
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, build_host
-from ..forests import DEFAULT_BUDGET
+from ..forests import DEFAULT_BUDGET, BudgetExceeded
 from ..graphcore import Graph, iter_bits, to_graph6
 from .stability import _certifies, family_threshold, host_label
 from .theorems import LK_FREE, MATCHING, Family, TheoremReport
@@ -33,15 +33,19 @@ def _forbidden_edges(host: Graph, p: ConstructionParams, rng: random.Random):
         if later:
             cands.append((u, (later & -later).bit_length() - 1))
             break
-    # ordered by v, then u: the seeded draw depends on this order
-    non_edges = [
-        (u, v)
-        for v, row in enumerate(host.adj)
-        for u in iter_bits(~row & ((1 << v) - 1))
-        if (u, v) not in cands
-    ]
-    if non_edges:
-        cands.append(rng.choice(non_edges))
+    # the other non-edges u < v, column by column; the seeded draw takes the
+    # i-th in order of v, then u, as rng.choice of their list would
+    cols = [~row & (1 << v) - 1 for v, row in enumerate(host.adj)]
+    for u, v in cands:
+        cols[v] &= ~(1 << u)
+    count = sum(map(int.bit_count, cols))
+    if count:
+        i = rng.randrange(count)
+        for v, col in enumerate(cols):
+            if i < col.bit_count():
+                cands.append((list(iter_bits(col))[i], v))
+                break
+            i -= col.bit_count()
     return cands
 
 
@@ -62,7 +66,8 @@ def _run_suite(
     samples: int, seed: int, budget: int,
 ) -> list[TheoremReport]:
     """The suite's rows.  Every graph a host yields is certified with that
-    host tried first."""
+    host tried first.  A BudgetExceeded is raised again naming the theorem,
+    n, k and the host."""
     theorem = family.suite_theorem
     family.require_k(k, "suite")
     if samples < 1:
@@ -86,40 +91,43 @@ def _run_suite(
     hosts = family.hosts(n, k)
     thresholds = {m: family_threshold(family, n, k, 2, m) for m in (0, dd)}
 
-    for i, p in enumerate(hosts):
-        order = [p, *hosts[:i], *hosts[i + 1 :]]
-        label = host_label(p)
+    try:
+        for i, p in enumerate(hosts):
+            order = [p, *hosts[:i], *hosts[i + 1 :]]
+            label = host_label(p)
 
-        def certifies(g: Graph, d: int) -> int:
-            return int(_certifies(g, order, thresholds[d], d))
+            def certifies(g: Graph, d: int) -> int:
+                return int(_certifies(g, order, thresholds[d], d))
 
-        def add(r, d, kind, formula, oracle, note, witnesses=()):
-            rows.append(TheoremReport(
-                theorem, n, k, r, d, kind, formula, oracle, witnesses,
-                note=f"{label}: {note}",
-            ))
+            def add(r, d, kind, formula, oracle, note, witnesses=()):
+                rows.append(TheoremReport(
+                    theorem, n, k, r, d, kind, formula, oracle, witnesses,
+                    note=f"{label}: {note}",
+                ))
 
-        host = build_host(p)
-        add(0, dd, "bound", *family.bound(host, k, budget), family.bound_note,
-            (to_graph6(host),) if n <= 62 else ())
-        for r in r_values:
-            add(r, dd, "exceeds", family_threshold(family, n, k, r, dd),
-                count_cliques(host, r), "clique count exceeds threshold")
-        add(2, dd, "equality", 1, certifies(host, dd), "host certifies by embedding")
-        edges = host.edges()
-        ok = sum(
-            certifies(_delete_random_edges(host, edges, rng), 0)
-            for _ in range(samples)
-        )
-        add(2, 0, "equality", samples, ok, "random proper subgraphs certify")
-        perturb_ok = 0
-        cands = _forbidden_edges(host, p, rng)
-        for u, v in cands:
-            g3 = host.with_edge(u, v)
-            kept = family.contains(g3, k, None, budget)
-            perturb_ok += certifies(g3, 0) if kept else 1
-        add(2, 0, "equality", len(cands), perturb_ok,
-            f"forbidden edge breaks {family.breaks_note} or still certifies")
+            host = build_host(p)
+            add(0, dd, "bound", *family.bound(host, k, budget), family.bound_note,
+                (to_graph6(host),) if n <= 62 else ())
+            for r in r_values:
+                add(r, dd, "exceeds", family_threshold(family, n, k, r, dd),
+                    count_cliques(host, r), "clique count exceeds threshold")
+            add(2, dd, "equality", 1, certifies(host, dd), "host certifies by embedding")
+            edges = host.edges()
+            ok = sum(
+                certifies(_delete_random_edges(host, edges, rng), 0)
+                for _ in range(samples)
+            )
+            add(2, 0, "equality", samples, ok, "random proper subgraphs certify")
+            perturb_ok = 0
+            cands = _forbidden_edges(host, p, rng)
+            for u, v in cands:
+                g3 = host.with_edge(u, v)
+                kept = family.contains(g3, k, None, budget)
+                perturb_ok += certifies(g3, 0) if kept else 1
+            add(2, 0, "equality", len(cands), perturb_ok,
+                f"forbidden edge breaks {family.breaks_note} or still certifies")
+    except BudgetExceeded as exc:  # from the bound, a family test or a certification
+        raise BudgetExceeded(f"{theorem} at n = {n}, k = {k}, host {label}: {exc}") from exc
     return rows
 
 

@@ -8,8 +8,9 @@ classes by a pairwise row test, upper bounds on linear forests and matchings
 by component counts (the A-set and Tutte-Berge bounds) with witness checks
 for the lower side, the degree-capped extremal count by a scan over labeled
 edge masks, the degree-capped matching count by a published closed form,
-Graph's row validation by a walk over every edge, and graph6 by a bit-string
-codec written from the format's definition.
+Graph's row validation by a walk over every edge, host-embedding certificates
+by a per-vertex part scan, and graph6 by a bit-string codec written from the
+format's definition.
 """
 
 from __future__ import annotations
@@ -186,6 +187,43 @@ def embeds_in_host_naive(g: Graph, p) -> bool:
             if disjoint:
                 return True
     return False
+
+
+def validate_embedding_reference(g: Graph, cert) -> bool:
+    """An embedding certificate's invariants on g, one vertex at a time: each
+    label is A, B or C with |A| = a and |B| = b; the extra edges are at most
+    the variant's count of disjoint C-C pairs; every B row stays inside
+    A ∪ B, and every C row inside A plus the vertex's extra-edge partner."""
+    p = cert.params
+    n = g.n
+    if n != p.n or len(cert.parts) != n:
+        return False
+    masks = {"A": 0, "B": 0, "C": 0}
+    for v, part in enumerate(cert.parts):
+        if part not in masks:
+            return False
+        masks[part] |= 1 << v
+    amask, bmask, cmask = masks["A"], masks["B"], masks["C"]
+    if amask.bit_count() != p.a or bmask.bit_count() != p.b_size:
+        return False
+    if len(cert.extra_edges) > p.extra_edge_count:
+        return False
+    extra = [0] * n  # the C-edge partner of each vertex, as a mask
+    for u, v in cert.extra_edges:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return False
+        pair = 1 << u | 1 << v
+        if pair & ~cmask or extra[u] or extra[v]:
+            return False
+        extra[u], extra[v] = 1 << v, 1 << u
+    b_allowed = amask | bmask
+    for v, row in enumerate(g.adj):
+        if bmask >> v & 1:
+            if row & ~b_allowed:
+                return False
+        elif cmask >> v & 1 and row & ~(amask | extra[v]):
+            return False
+    return True
 
 
 def _component_sizes(g: Graph, removed) -> list[int]:

@@ -13,7 +13,7 @@ from linfor import (
     parse_graph6,
     to_graph6,
 )
-from linfor.graphcore import pair_index, read_graph6_lines
+from linfor.graphcore import _touching, pair_index, read_graph6_lines
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -362,3 +362,26 @@ class TestQueries:
         g = Graph.from_edges(5, [(1, 3), (3, 4)])
         h = induced_subgraph(g, 0b11010)  # vertices 1, 3, 4 -> 0, 1, 2
         assert h == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def _row_union(g: Graph, mask: int) -> int:
+    out = 0
+    for v in range(g.n):
+        if mask >> v & 1:
+            out |= g.adj[v]
+    return out
+
+
+class TestTouching:
+    # rows are packed at stride 8, 16, 32 or 64, so n = 8/9, 16/17 and
+    # 32/33 cross a stride edge and n = 64 fills the widest one
+    @pytest.mark.parametrize("n", range(65))
+    def test_matches_row_union(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = random_graph(n, rng, p)
+            masks = [0, full, *(1 << v for v in range(n))]
+            masks += [rng.getrandbits(n) if n else 0 for _ in range(8)]
+            for mask in masks:
+                assert _touching(g.adj, mask) == _row_union(g, mask), (p, mask)

@@ -15,6 +15,7 @@ from linfor import (
     disjoint_union,
     to_graph6,
 )
+from linfor.constructions import VARIANTS
 from linfor.forests import DEFAULT_BUDGET, matching_number, max_linear_forest
 from linfor.verify import (
     EmbeddingCertificate,
@@ -40,6 +41,7 @@ from .oracles import (
     is_linear_forest_in,
     is_matching_in,
     tutte_berge_bound,
+    validate_embedding_reference,
 )
 
 
@@ -172,6 +174,79 @@ class TestEmbedsInHost:
             ConstructionParams(p_n, 5, 2, variant), tuple(parts), extra
         )
         assert not validate_embedding(g, cert)
+
+    @staticmethod
+    def _random_certificate(n, rng):
+        """A seeded host on n vertices, parts over shuffled vertices, extra
+        edges among C, and g drawn from the allowed edges plus, now and
+        then, stray edges."""
+        while True:
+            k, a = rng.randint(0, n), rng.randint(0, n // 2)
+            try:
+                p = ConstructionParams(n, k, a, rng.choice(VARIANTS))
+                break
+            except ValueError:
+                continue
+        order = rng.sample(range(n), n)
+        a_set, b_set = order[: p.a], order[p.a : p.a + p.b_size]
+        c_set = order[p.a + p.b_size :]
+        parts = ["C"] * n
+        for v in a_set:
+            parts[v] = "A"
+        for v in b_set:
+            parts[v] = "B"
+        cs = rng.sample(c_set, 2 * rng.randint(0, p.extra_edge_count))
+        extra = tuple(zip(cs[::2], cs[1::2]))
+        allowed = [(u, v) for u in a_set for v in range(n) if u != v]
+        allowed += itertools.combinations(b_set, 2)
+        allowed += extra
+        dense = rng.random()
+        edges = {tuple(sorted(e)) for e in allowed if rng.random() < dense}
+        while n > 1 and rng.random() < 0.3:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph.from_edges(n, edges)
+        return g, EmbeddingCertificate(p, tuple(parts), extra)
+
+    @staticmethod
+    def _mutations(cert, n, rng):
+        p, parts, extra = cert.params, list(cert.parts), cert.extra_edges
+        out = []
+        if n:
+            v = rng.randrange(n)
+            flipped = parts.copy()
+            flipped[v] = rng.choice([x for x in "ABC" if x != parts[v]])
+            out.append(EmbeddingCertificate(p, tuple(flipped), extra))
+            stray = parts.copy()
+            stray[v] = rng.choice(["D", "a", "", "AB", " ", 65, None])
+            out.append(EmbeddingCertificate(p, tuple(stray), extra))
+        ends = list(range(-1, n + 1))
+        if extra:
+            i = rng.randrange(len(extra))
+            moved = list(extra)
+            moved[i] = (extra[i][0], rng.choice(ends))
+            out.append(EmbeddingCertificate(p, tuple(parts), tuple(moved)))
+            u = rng.choice(extra[i])
+            shared = (*extra, (u, rng.choice(ends)))
+            out.append(EmbeddingCertificate(p, tuple(parts), shared))
+        added = (*extra, (rng.choice(ends), rng.choice(ends)))
+        out.append(EmbeddingCertificate(p, tuple(parts), added))
+        out.append(EmbeddingCertificate(p, tuple(parts[:-1]), extra))
+        out.append(EmbeddingCertificate(p, (*parts, "C"), extra))
+        wider = ConstructionParams(n + 1, p.k, p.a, p.variant)
+        out.append(EmbeddingCertificate(wider, tuple(parts), extra))
+        return out
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 17, 33, 40, 64])
+    def test_validate_agrees_with_per_vertex_reference(self, n):
+        rng = random.Random(n)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            g, cert = self._random_certificate(n, rng)
+            for c in [cert, *self._mutations(cert, n, rng)]:
+                want = validate_embedding_reference(g, c)
+                assert validate_embedding(g, c) == want, (g.adj, c)
+                verdicts[want] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 400, verdicts
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -633,3 +708,63 @@ class TestSuites:
             for p in hosts
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @staticmethod
+    def _forbidden_edges_listed(host, p, rng):
+        """The forbidden edges drawn by listing every other non-edge u < v in
+        order of v, then u, and taking rng.choice of the list."""
+        core = p.k - p.a
+        cands = []
+        if p.b_size >= 1 and p.c_size >= 1:
+            cands.append((p.a, core))
+        for u in range(core, p.n):
+            later = [v for v in range(u + 1, p.n) if not host.has_edge(u, v)]
+            if later:
+                cands.append((u, later[0]))
+                break
+        non_edges = [
+            (u, v) for v in range(host.n) for u in range(v)
+            if not host.has_edge(u, v) and (u, v) not in cands
+        ]
+        if non_edges:
+            cands.append(rng.choice(non_edges))
+        return cands
+
+    def test_forbidden_edges_draw_as_listed(self):
+        # every host of the benchmark grid, and every small host, down to
+        # complete ones with no non-edge left to draw
+        hosts = [
+            p for family, ks in ((LK_FREE, (7, 8, 9)), (MATCHING, (3, 4)))
+            for k in ks for n in range(20, 41, 2) for p in family.hosts(n, k)
+        ]
+        assert len(hosts) == 154
+        hosts += [p for n in range(1, 9) for p in _valid_hosts(n)]
+        for p in hosts:
+            host = build_host(p)
+            for seed in range(5):
+                drawn, listed = random.Random(seed), random.Random(seed)
+                assert _forbidden_edges(host, p, drawn) == (
+                    self._forbidden_edges_listed(host, p, listed)
+                ), (p, seed)
+                assert drawn.getstate() == listed.getstate(), (p, seed)
+
+    def test_budget_message_names_theorem_and_host(self):
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^theorem4 at n = 20, k = 7, host H\(20,7,3\): linear-forest search",
+        ) as info:
+            stability_suite(7, 20, budget=1)
+        assert isinstance(info.value.__cause__, BudgetExceeded)
+
+    def test_certification_budget_names_host(self, monkeypatch):
+        import linfor.verify.suite as suite_module
+
+        def exceed(g, hosts, threshold, d):
+            raise BudgetExceeded("embedding exceeded")
+
+        monkeypatch.setattr(suite_module, "_certifies", exceed)
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^theorem7 at n = 20, k = 3, host H\(20,7,3\): embedding exceeded$",
+        ):
+            matching_stability_suite(3, 20)
