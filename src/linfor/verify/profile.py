@@ -19,16 +19,32 @@ The minimum degree and N_r, the number of r-cliques, are counted only on the
 masks an oracle row asks about: a degree is the popcount of m & star(w), and
 an r-clique with edge set c lies in m when m & c == c.  Everything is exact
 integer arithmetic.
+
+numpy is imported by the functions that build or read a table, so a process
+that runs no oracle row never loads it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from ..graphcore import pair_index
 from .enumerate import ENUMERATION_CEILING
+
+
+class _Numpy:
+    """numpy as the array annotations name it: typing.get_type_hints resolves
+    np.ndarray through this stand-in, which imports numpy only then.  The
+    functions below import numpy themselves, so their loops read its
+    attributes directly."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 def _zeta(a: np.ndarray, op) -> np.ndarray:
@@ -41,6 +57,8 @@ def _zeta(a: np.ndarray, op) -> np.ndarray:
 
 def _max_forest(n: int, cap: int) -> np.ndarray:
     """Size of the largest acyclic edge set of max degree <= cap in each mask."""
+    import numpy as np
+
     pairs = [(u, v) for v in range(n) for u in range(v)]
     best = np.zeros(1 << len(pairs), np.uint8)
     deg = [0] * n
@@ -64,6 +82,8 @@ def _max_forest(n: int, cap: int) -> np.ndarray:
 
 def min_degrees(n: int, masks: np.ndarray) -> np.ndarray:
     """uint8 minimum degree of each uint32 edge mask (0 when n = 0)."""
+    import numpy as np
+
     out = np.full(masks.shape, max(n - 1, 0), np.uint8)
     for w in range(n):
         star = sum(1 << pair_index(u, w) for u in range(n) if u != w)
@@ -74,6 +94,8 @@ def min_degrees(n: int, masks: np.ndarray) -> np.ndarray:
 def clique_counts(n: int, masks: np.ndarray, r: int) -> np.ndarray:
     """uint8 N_r of each uint32 edge mask: its popcount at r = 2, otherwise
     one containment test per r-clique of K_n."""
+    import numpy as np
+
     if r == 2:
         return np.bitwise_count(masks)
     out = np.zeros(masks.shape, np.uint8)

@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
 from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
 from ..graphcore import Graph, _graph6, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
-from .profile import clique_counts, graph_profiles, min_degrees
+from .profile import clique_counts, graph_profiles, min_degrees, np
 
 WITNESS_CAP = 16
 
@@ -54,6 +52,8 @@ class TheoremReport:
 def _oracle_max(n, r, elig, d):
     """Max N_r over the masks in elig with min degree >= d, with the first
     WITNESS_CAP maximizing graphs in ascending mask order."""
+    import numpy as np
+
     masks = np.flatnonzero(elig).astype(np.uint32)  # C(8, 2) = 28 bits
     if d:
         masks = masks[min_degrees(n, masks) >= d]
