@@ -96,22 +96,18 @@ def real_binomial(x: float, r: int) -> float:
 def build_host(p: ConstructionParams) -> Graph:
     """Materialize the host graph with A = 0..a-1, B = a..k-a-1, C = rest.
 
-    The plus variant adds the C-edge (k-a, k-a+1); plusplus additionally adds
-    (k-a+2, k-a+3).  Requires n within the dense vertex cap.
+    An A vertex sees every other vertex, a B vertex sees A ∪ B and a C vertex
+    sees A.  The plus variant adds the C-edge (k-a, k-a+1); plusplus
+    additionally adds (k-a+2, k-a+3).  Requires n within the dense vertex cap.
     """
     if p.n > MAX_VERTICES:
         raise ValueError(f"n={p.n} exceeds dense cap {MAX_VERTICES}; use host_clique_count")
-    edges = []
     core = p.k - p.a  # |A ∪ B|
-    for v in range(1, core):
-        for u in range(v):
-            edges.append((u, v))
-    for u in range(p.a):
-        for c in range(core, p.n):
-            edges.append((u, c))
-    for i in range(p.extra_edge_count):
-        edges.append((core + 2 * i, core + 2 * i + 1))
-    return Graph.from_edges(p.n, edges)
+    rows = [(1 << p.n) - 1] * p.a + [(1 << core) - 1] * p.b_size + [(1 << p.a) - 1] * p.c_size
+    for c in range(core, core + 2 * p.extra_edge_count, 2):
+        rows[c] |= 1 << c + 1
+        rows[c + 1] |= 1 << c
+    return Graph(p.n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
 
 
 def h_r(n: int, k: int, a: int, r: int) -> int:

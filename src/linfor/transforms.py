@@ -36,8 +36,8 @@ def k_closure(g: Graph, k: int) -> Graph:
     """Join nonadjacent pairs with degree sum >= k until none remain.
 
     The result is the unique smallest supergraph with no qualifying
-    nonadjacent pair; pairs are examined lowest-index first and rescanned
-    after every change.
+    nonadjacent pair.  A pass examines the pairs u < v in order of v, then u,
+    joining each qualifying pair at once; passes repeat until one joins none.
     """
     rows = list(g.adj)
     deg = [row.bit_count() for row in rows]

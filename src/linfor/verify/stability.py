@@ -75,9 +75,6 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
     # the rest vertices with a rest neighbour: exactly the vertices of the
     # components of g - A with two vertices or more
     covered = _touching(g.adj, rest) & rest
-    # B takes all of them except at most extra_edge_count K_2 components
-    if covered.bit_count() - 2 * p.extra_edge_count > p.b_size:
-        return None
     # a K_2 component of g - A is a pair v < u of covered vertices, each the
     # other's only neighbour outside A; the lowest pairs become extra C-edges
     pairs = []
@@ -89,7 +86,8 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
                 pairs.append((v, u))
                 if len(pairs) == p.extra_edge_count:
                     break
-    # the pairs are disjoint, so the sum of their masks is their union
+    # the pairs are disjoint, so the sum of their masks is their union; B
+    # takes all the other covered vertices
     bmask = covered - sum(1 << v | 1 << u for v, u in pairs)
     if bmask.bit_count() > p.b_size:
         return None
@@ -134,20 +132,20 @@ def embeds_in_host(
     Searches over choices of part A only: vertices whose degree exceeds every
     B/C possibility are forced into A, and remaining slots are filled over
     twin-class count vectors (interchangeable vertices are never permuted).
-    Twin classes are computed only when a slot is left to fill.  An A-set is
-    refused by a count alone when B cannot hold the vertices outside A with a
-    neighbour outside A, less two per allowed extra edge; only then are the
-    extra C-edges sought, as pairs that are each other's sole neighbour
-    outside A.
+    Twin classes are computed only when a slot is left to fill.  For each
+    A-set the extra C-edges are sought first, as the lowest pairs that are
+    each other's sole neighbour outside A; the A-set is refused when B cannot
+    hold the other vertices outside A that have a neighbour outside A.
     """
     if g.n != p.n:
         raise ValueError("embedding requires g.n == params.n")
     cap_b = p.a + p.b_size - 1
     cap_c = p.a + (1 if p.extra_edge_count else 0)
     non_a_cap = max(cap_b, cap_c) if p.n > p.a else -1
-    # one byte per degree; the table reads "1" for a degree above the cap
-    above = b"0" * (non_a_cap + 1) + b"1" * (255 - non_a_cap)
-    forced = _mask_of(bytes(map(int.bit_count, g.adj)).translate(above))
+    forced = 0
+    for v, row in enumerate(g.adj):
+        if row.bit_count() > non_a_cap:
+            forced |= 1 << v
     if forced.bit_count() > p.a:
         return None
     need = p.a - forced.bit_count()

@@ -8,9 +8,9 @@ classes by a pairwise row test, upper bounds on linear forests and matchings
 by component counts (the A-set and Tutte-Berge bounds) with witness checks
 for the lower side, the degree-capped extremal count by a scan over labeled
 edge masks, the degree-capped matching count by a published closed form,
-Graph's row validation by a walk over every edge, host-embedding certificates
-by a per-vertex part scan, and graph6 by a bit-string codec written from the
-format's definition.
+Graph's row validation by a walk over every edge, host graphs by listing
+their edges, host-embedding certificates by a per-vertex part scan, and
+graph6 by a bit-string codec written from the format's definition.
 """
 
 from __future__ import annotations
@@ -187,6 +187,17 @@ def embeds_in_host_naive(g: Graph, p) -> bool:
             if disjoint:
                 return True
     return False
+
+
+def build_host_reference(p) -> Graph:
+    """The host H(n, k, a) from its edge list: every pair inside A ∪ B =
+    0..k-a-1, every A-C pair, and the variant's extra edges on the lowest
+    disjoint C pairs."""
+    core = p.k - p.a
+    edges = list(combinations(range(core), 2))
+    edges += [(u, c) for u in range(p.a) for c in range(core, p.n)]
+    edges += [(core + 2 * i, core + 2 * i + 1) for i in range(p.extra_edge_count)]
+    return Graph.from_edges(p.n, edges)
 
 
 def validate_embedding_reference(g: Graph, cert) -> bool:

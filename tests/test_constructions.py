@@ -17,6 +17,9 @@ from linfor import (
     is_lk_free,
     max_linear_forest,
 )
+from linfor.constructions import listed_hosts, matching_hosts
+
+from .oracles import build_host_reference
 
 
 def all_valid_params(n_max: int, variants=("plain", "plus", "plusplus")):
@@ -75,6 +78,17 @@ class TestBuildHost:
         assert g.degree(2) == 2
         for c in range(3, 10):
             assert g.degree(c) == 2
+
+    def test_matches_edge_list_reference(self):
+        # every valid host on n <= 16 and the 154 hosts of the benchmark grid
+        grid = [
+            p for n in range(20, 41, 2)
+            for hosts, ks in ((listed_hosts, (7, 8, 9)), (matching_hosts, (3, 4)))
+            for k in ks for p in hosts(n, k)
+        ]
+        assert len(grid) == 154
+        for p in [*all_valid_params(16), *grid]:
+            assert build_host(p) == build_host_reference(p), p
 
     def test_rejects_beyond_dense_cap(self):
         with pytest.raises(ValueError):

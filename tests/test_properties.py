@@ -8,6 +8,7 @@ from linfor import (
     Graph6Error,
     disjoint_union,
     edges_between,
+    induced_subgraph,
     is_lk_free,
     k_closure,
     matching_number,
@@ -17,7 +18,7 @@ from linfor import (
 )
 from linfor.forests import _child_lf_bracket, _forest_paths
 
-from .oracles import lf_subset_dp
+from .oracles import is_matching_in, lf_subset_dp, tutte_berge_bound
 
 
 @st.composite
@@ -63,6 +64,27 @@ def test_forest_size_additive_over_union(g, h):
 @given(graphs(max_n=8))
 def test_matching_is_a_linear_forest(g):
     assert max_linear_forest(g).size >= matching_number(g).size
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=64))
+def test_matching_number_certified_on_both_sides(g):
+    # Gallai-Edmonds: D holds the vertices some maximum matching misses and
+    # U = N(D) \ D; the Tutte-Berge bound at U is tight, so nu is met by the
+    # witness from below and by the oracle's component count from above
+    result = matching_number(g)
+    d_set = [
+        v for v in range(g.n)
+        if matching_number(induced_subgraph(g, g.vertex_mask() ^ 1 << v)).size
+        == result.size
+    ]
+    around = 0
+    for v in d_set:
+        around |= g.adj[v]
+    u_set = [u for u in range(g.n) if around >> u & 1 and u not in d_set]
+    assert len(result.witness) == result.size
+    assert is_matching_in(g, result.witness)
+    assert tutte_berge_bound(g, u_set) == result.size
 
 
 @settings(max_examples=60)

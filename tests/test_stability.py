@@ -585,6 +585,16 @@ class TestCertifies:
                         for u, v in _forbidden_edges(host, p, random.Random(0)):
                             g3 = host.with_edge(u, v)
                             assert not family.contains(g3, k, None, DEFAULT_BUDGET)
+                            # a witness that g3 left the family: a k-edge
+                            # linear forest, or a (k + 1)-edge matching
+                            if family is LK_FREE:
+                                witness = max_linear_forest(g3).witness
+                                assert len(witness) >= k, (p, u, v)
+                                assert is_linear_forest_in(g3, witness), (p, u, v)
+                            else:
+                                witness = matching_number(g3).witness
+                                assert len(witness) >= k + 1, (p, u, v)
+                                assert is_matching_in(g3, witness), (p, u, v)
                             assert _certifies(g3, order, thr, 0) is False, (p, u, v)
                             refused += 1
         assert refused == 126
@@ -632,6 +642,30 @@ class TestSuites:
                         assert oracle == formula, p
                         certified += 1
         assert certified == 154
+
+    def test_certificates_pass_the_per_vertex_reference(self, monkeypatch):
+        # every certificate the suites get back on part of the benchmark grid
+        # passes the validator that shares no code with validate_embedding
+        from linfor.verify import stability
+
+        real = stability.embeds_in_host
+        certs = []
+
+        def checked(g, p, *args):
+            cert = real(g, p, *args)
+            if cert is not None:
+                assert validate_embedding_reference(g, cert), (p, cert)
+                certs.append(cert)
+            return cert
+
+        monkeypatch.setattr(stability, "embeds_in_host", checked)
+        for suite, ks in (
+            (stability_suite, (7, 8, 9)), (matching_stability_suite, (3, 4))
+        ):
+            for k in ks:
+                for n in (20, 30, 40):
+                    suite(k, n, samples=5)
+        assert len(certs) == 252
 
     def test_suite_deterministic(self):
         a = stability_suite(8, 21, samples=4, seed=9)
