@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", choices=["json", "csv"], default="json")
     pv.add_argument("--budget", type=int, default=None,
-                    help="L_k-freeness search cap on theorem4 and with --in on "
+                    help="state cap of each L_k-freeness or linear-forest search "
+                         "the bounds leave open, on theorem4 and with --in on "
                          f"theorems 1-3 (default {DEFAULT_BUDGET})")
     pv.add_argument("--dedup", action="store_true",
                     help="enumerate one graph per isomorphism class")

@@ -3,10 +3,11 @@
 A linear forest is a subgraph whose components are paths; its size is its
 edge count.  A graph is L_k-free iff its maximum linear forest has at most
 k-1 edges.  ``max_linear_forest`` computes that maximum with a witness;
-``is_lk_free`` only decides it, in four steps that stop at the first
+``is_lk_free`` only decides it, in five steps that stop at the first
 answer: nu >= k means not free and 2 nu <= k - 1 means free, since the
 blossom matching number brackets lf as nu <= lf <= 2 nu; a linear forest of
-k or more edges, grown greedily from that matching, means not free; and only
+k or more edges, grown greedily from that matching, means not free; an
+A-set bound lf <= n + |A| - c(G - A) of at most k - 1 means free; and only
 then the forest search runs, stopping at the first k-edge forest.  A linear
 forest of p paths on n vertices has at most n - p edges, so a k-edge forest
 has at most n - k paths, and that search starts no more.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphcore import (
-    MAX_VERTICES, Graph, _twin_classes_rows, disjoint_union, iter_bits,
+    MAX_VERTICES, Graph, _touching, _twin_classes_rows, disjoint_union, iter_bits,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -263,6 +264,38 @@ def max_linear_forest(g: Graph, budget: int = DEFAULT_BUDGET) -> ForestResult:
     return ForestResult(size, tuple(edges))
 
 
+def _a_set_bound(g: Graph, target: int) -> tuple[int, int]:
+    """``(bound, A)``: lf(g) <= bound = n + |A| - c(g - A) for the vertex mask
+    A, with c counting components, since each vertex of A ends at most two
+    forest edges and the rest form a forest in g - A (Chvatal, "Tough graphs
+    and Hamiltonian circuits", Discrete Math. 1973).  A grows from the empty
+    set by the vertex of highest degree in g - A, the lowest on ties, until
+    g - A has no edge or the least bound, returned with its first A, is at
+    most ``target``.
+    """
+    n, adj = g.n, g.adj
+    rest, amask, best = (1 << n) - 1, 0, (n + 1, 0)
+    while True:
+        # the isolated vertices of g - A in one pass, then a frontier walk
+        # per component of the rest
+        linked = _touching(adj, rest) & rest
+        count, left = (rest ^ linked).bit_count(), linked
+        while left:
+            seen = frontier = left & -left
+            while frontier:
+                frontier = _touching(adj, frontier) & left & ~seen
+                seen |= frontier
+            left ^= seen
+            count += 1
+        # a later A is a superset, so a larger mask: min keeps the first
+        best = min(best, (n + amask.bit_count() - count, amask))
+        if best[0] <= target or not linked:
+            return best
+        top = max(iter_bits(linked), key=lambda v: (adj[v] & rest).bit_count())
+        amask |= 1 << top
+        rest ^= 1 << top
+
+
 def _greedy_linear_forest(
     g: Graph, matching: tuple[tuple[int, int], ...]
 ) -> list[tuple[int, int]]:
@@ -282,7 +315,12 @@ def _greedy_linear_forest(
     for u, v in matching:
         fdeg[u] = fdeg[v] = 1
         parent[u] = v
-    for _, u, v in sorted((deg[u] + deg[v], u, v) for u, v in g.edges()):
+    # one int per edge u < v sorts as its (deg u + deg v, u, v): u, v < 64
+    for key in sorted([
+        (deg[u] + deg[v]) << 12 | u << 6 | v
+        for u, row in enumerate(g.adj) for v in iter_bits(row >> (u + 1) << (u + 1))
+    ]):
+        u, v = key >> 6 & 63, key & 63
         if fdeg[u] < 2 and fdeg[v] < 2:
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
@@ -302,14 +340,15 @@ def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     matching is a linear forest; a path of l edges holds a matching of
     ceil(l/2) edges), so nu >= k means not free and 2 nu <= k - 1 means free.
     Otherwise a greedy linear forest grown from the maximum matching with k
-    or more edges means not free.  Only then does the forest search run,
+    or more edges means not free, and an A-set bound (``_a_set_bound``) of
+    at most k - 1 means free.  Only then does the forest search run,
     stopping at the first k-edge forest.  It starts at most n - k paths: a
     linear forest of p paths covers its edges plus p vertices, so every
     k-edge forest has at most n - k paths.
 
     ``budget`` bounds that search alone and raises BudgetExceeded when it
-    passes ``budget`` states; a graph decided by the bracket or the greedy
-    forest returns its answer whatever the budget.
+    passes ``budget`` states; a graph decided by one of the four steps
+    before it returns its answer whatever the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -321,7 +360,15 @@ def is_lk_free(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
         return True
     if len(_greedy_linear_forest(g, matching.witness)) >= k:
         return False
+    if _a_set_bound(g, k - 1)[0] <= k - 1:
+        return True
     return _ForestSearch(g, budget, k).run() < k
+
+
+def _closed_lf(g: Graph) -> int | None:
+    """lf(g) when the greedy forest meets the A-set bound, else None."""
+    size = len(_greedy_linear_forest(g, matching_number(g).witness))
+    return size if _a_set_bound(g, size)[0] <= size else None
 
 
 # -- maximum matching ------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Callable
 
 from ..cliques import count_cliques
 from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
-from ..forests import DEFAULT_BUDGET, is_lk_free, matching_number, max_linear_forest
+from ..forests import DEFAULT_BUDGET, BudgetExceeded, _closed_lf, is_lk_free
+from ..forests import matching_number, max_linear_forest
 from ..graphcore import Graph, _graph6, to_graph6
 from .enumerate import ENUMERATION_CEILING, enumerate_graphs
 from .profile import clique_counts, graph_profiles, min_degrees, np
@@ -69,7 +70,9 @@ class Family:
     number <= k rules out a linear forest of 2k + 1 edges.  Formulas, degree
     ranges and thresholds are derived from K.  The profile and graph tests
     and the host bound look linfor's functions up in this module when
-    called, so names patched here see the calls.
+    called, so names patched here see the calls; the L_k-free bound makes
+    its matching inside forests, and calls max_linear_forest only on a host
+    the A-set bracket leaves open.
     """
 
     forest_k: Callable[[int], int]  # k -> K
@@ -124,11 +127,16 @@ class Family:
             raise ValueError(f"{theorem} needs n >= {least}, got n = {n}")
 
 
+def _lk_bound(host: Graph, k: int, budget: int) -> tuple[int, int]:
+    """(k - 1, lf(host)); only a search the bracket leaves open reads budget."""
+    lf = _closed_lf(host)
+    return k - 1, max_linear_forest(host, budget=budget).size if lf is None else lf
+
+
 LK_FREE = Family(
     lambda k: k, lambda n, k: graph_profiles(n, 2) < k,
     lambda g, k, budget: is_lk_free(g, k, budget=budget), "L_k-free",
-    "stability", 5, listed_hosts, False, "theorem4",
-    lambda host, k, budget: (k - 1, max_linear_forest(host, budget=budget).size),
+    "stability", 5, listed_hosts, False, "theorem4", _lk_bound,
     "exact max linear forest <= k-1", "freeness",
 )
 MATCHING = Family(
@@ -156,7 +164,8 @@ def family_report(
     dedup: bool = False,
 ) -> TheoremReport:
     """Max N_r over the family's graphs on n vertices (with min degree >= d
-    when d is given) against the extremal formula."""
+    when d is given) against the extremal formula.  A BudgetExceeded from a
+    family test is raised again naming the theorem, n, k, r and d."""
     d = min_degree
     theorem, kind = next(
         (theorem, kind)
@@ -168,11 +177,14 @@ def family_report(
     family.check(theorem, n, k, r, d, least=k + 1)
     if n > ENUMERATION_CEILING:
         raise ValueError(f"enumeration ceiling is n = {ENUMERATION_CEILING}")
-    if dedup:
-        oracle, witnesses = _oracle_max_dedup(family, n, r, k, d)
-    else:
-        elig = family.profile_test(n, k)
-        oracle, witnesses = _oracle_max(n, r, elig, d)
+    try:
+        if dedup:
+            oracle, witnesses = _oracle_max_dedup(family, n, r, k, d)
+        else:
+            oracle, witnesses = _oracle_max(n, r, family.profile_test(n, k), d)
+    except BudgetExceeded as exc:
+        where = f"{theorem} at n = {n}, k = {k}, r = {r}, d = {d}"
+        raise BudgetExceeded(f"{where}: {exc}") from exc
     formula = family.formula(n, k, r, d)
     return TheoremReport(theorem, n, k, r, d, kind, formula, oracle, witnesses)
 

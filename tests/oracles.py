@@ -6,8 +6,9 @@ Hamiltonian-path subset DP (and, for tiny graphs, by filtering literal edge
 subsets), matchings by a subset DP or a search for disjoint edges, twin
 classes by a pairwise row test, upper bounds on linear forests and matchings
 by component counts (the A-set and Tutte-Berge bounds) with witness checks
-for the lower side, the degree-capped extremal count by a scan over labeled
-edge masks, the degree-capped matching count by a published closed form,
+for the lower side, clique numbers by a Bron-Kerbosch search over Python
+sets, the degree-capped extremal count by a scan over labeled edge masks,
+the degree-capped matching count by a published closed form,
 Graph's row validation by a walk over every edge, host graphs by listing
 their edges, host-embedding certificates by a per-vertex part scan, and
 graph6 by a bit-string codec written from the format's definition.
@@ -272,6 +273,28 @@ def tutte_berge_bound(g: Graph, u_set) -> int:
     odd counts the components of odd order (Berge 1958)."""
     odd = sum(size % 2 for size in _component_sizes(g, u_set))
     return (g.n + len(u_set) - odd) // 2
+
+
+def clique_number(g: Graph) -> int:
+    """Size of a largest clique of g, by Bron-Kerbosch with a pivot
+    (Tomita, Tanaka and Takahashi, Theor. Comput. Sci. 2006) over Python
+    sets of neighbours."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    best = 0
+
+    def grow(size: int, cand: set, done: set) -> None:
+        nonlocal best
+        if not cand:
+            best = max(best, size)
+            return
+        pivot = max(cand | done, key=lambda u: len(nbrs[u] & cand))
+        for v in sorted(cand - nbrs[pivot]):
+            grow(size + 1, cand & nbrs[v], done & nbrs[v])
+            cand = cand - {v}
+            done = done | {v}
+
+    grow(0, set(range(g.n)), set())
+    return best
 
 
 def is_linear_forest_in(g: Graph, edges) -> bool:

@@ -233,12 +233,13 @@ class TestVerify:
         assert [row["r"] for row in json.loads(out)["reports"]] == [r]
 
     def test_input_graph_mode_honours_budget(self, capsys, tmp_path):
-        # 2K_2 is L_3-free: nu = 2 leaves the bracket open and the greedy
-        # forest has 2 edges, so the search decides it
-        src = tmp_path / "2k2.g6"
-        src.write_text("CK\n")
+        # this n = 13 record is L_12-free: nu = 6 leaves the bracket open,
+        # the greedy forest has 11 edges and the A-set bound gives 12 = k, so
+        # the search decides it
+        src = tmp_path / "n13.g6"
+        src.write_text("LGC@walJ??cGED\n")
         code, out, err = run(
-            capsys, "verify", "theorem1", "--in", str(src), "--k", "3", "--budget", "1"
+            capsys, "verify", "theorem1", "--in", str(src), "--k", "12", "--budget", "1"
         )
         assert code == 2
         assert "budget of 1 states" in err
@@ -252,10 +253,22 @@ class TestVerify:
         )
 
     def test_stability_suite_honours_budget(self, capsys):
-        code, out, err = run(capsys, "verify", "theorem4", "--budget", "5")
+        # a perturbed H(9,8,2) is left open by every step before the search,
+        # which passes 5 states
+        code, out, err = run(
+            capsys, "verify", "theorem4", "--k", "8", "--n", "9", "--budget", "5"
+        )
         assert code == 2
         assert out == ""
         assert "budget of 5 states" in err
+
+    def test_stability_budget_leaves_default_rows(self, capsys):
+        # every lf and freeness question of the default theorem4 run is
+        # decided before any search, so the least budget prints the same bytes
+        code, out, _ = run(capsys, "verify", "theorem4", "--budget", "1")
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "theorem4.json"
+        assert out.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("argv, message", [
         (("theorem3", "--k", "5", "--d", "2"), "theorem3 needs n >= 6, got n = 5"),

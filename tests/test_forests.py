@@ -25,17 +25,20 @@ from linfor import (
 )
 from linfor import forests
 from linfor.canon import refined_canonical_key
-from linfor.graphcore import MAX_VERTICES
+from linfor.forests import DEFAULT_BUDGET
+from linfor.graphcore import MAX_VERTICES, iter_bits
 from linfor.verify import graph_profiles
 from linfor.verify import embeds_in_host, enumerate_graphs, stability_suite
 from linfor.verify.stability import listed_hosts, matching_hosts
 from linfor.verify.suite import _forbidden_edges
+from linfor.verify.theorems import LK_FREE, MATCHING
 
 from .extremal_grid import extremal_grid
 from .oracles import (
     chvatal_hanson,
     degree_capped_holds,
     degree_capped_max,
+    forest_upper_bound,
     has_disjoint_edges,
     lf_edge_subsets,
     lf_subset_dp,
@@ -259,14 +262,15 @@ class TestIsLkFree:
                     assert is_lk_free(g, k) == (lf[mask] <= k - 1), (n, mask, k)
 
     def test_budget_exceeded_when_bracket_leaves_it_open(self):
-        # 2K_2: nu = 2 <= lf = 2 <= 2 nu = 4 and the greedy forest has 2
-        # edges, so k = 3 needs the search, which explores 5 states
-        g = parse_graph6("CK")
-        assert g.edges() == [(1, 2), (0, 3)]
-        assert len(forests._greedy_linear_forest(g, matching_number(g).witness)) == 2
-        assert is_lk_free(g, 3)
-        with pytest.raises(BudgetExceeded, match="k = 3 exceeded its budget of 1 states"):
-            is_lk_free(g, 3, budget=1)
+        # nu = 6 <= lf <= 2 nu = 12, the greedy forest has 11 edges and the
+        # A-set bound gives 12 = k, so k = 12 needs the search
+        g = parse_graph6("LGC@walJ??cGED")
+        assert matching_number(g).size == 6
+        assert len(forests._greedy_linear_forest(g, matching_number(g).witness)) == 11
+        assert forests._a_set_bound(g, 11)[0] == 12
+        assert is_lk_free(g, 12)
+        with pytest.raises(BudgetExceeded, match="k = 12 exceeded its budget of 1 states"):
+            is_lk_free(g, 12, budget=1)
 
     def test_budget_bounds_only_the_search(self):
         # K_{1,3} at k = 2: nu = 1 leaves the bracket open, and the greedy
@@ -301,6 +305,145 @@ class TestIsLkFree:
             assert max_linear_forest(g).size >= matching_number(g).size
 
 
+def _greedy_by_tuples(g, matching):
+    """_greedy_linear_forest as it sorted (deg u + deg v, u, v) tuples."""
+    deg = [row.bit_count() for row in g.adj]
+    fdeg = [0] * g.n
+    parent = list(range(g.n))
+    edges = list(matching)
+    for u, v in matching:
+        fdeg[u] = fdeg[v] = 1
+        parent[u] = v
+    for _, u, v in sorted((deg[u] + deg[v], u, v) for u, v in g.edges()):
+        if fdeg[u] < 2 and fdeg[v] < 2:
+            ru, rv = forests._find(parent, u), forests._find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                fdeg[u] += 1
+                fdeg[v] += 1
+                edges.append((u, v))
+    return edges
+
+
+def _grid_hosts():
+    """(family, k, host) for the 154 hosts of the benchmark's suite grid,
+    n = 20..40 step 2, the 110 L_k-free ones first."""
+    return [
+        (family, k, p) for family, ks in ((LK_FREE, (7, 8, 9)), (MATCHING, (3, 4)))
+        for k in ks for n in range(20, 41, 2) for p in family.hosts(n, k)
+    ]
+
+
+def _lk_hosts():
+    """Every listed host with k = 5..14 and k < n <= 64."""
+    return [p for k in range(5, 15) for n in range(k + 1, 65) for p in listed_hosts(n, k)]
+
+
+class TestASetBound:
+    @staticmethod
+    def _certified(g, target):
+        # the bound with its set, checked by the component-count oracle
+        bound, amask = forests._a_set_bound(g, target)
+        assert bound == forest_upper_bound(g, list(iter_bits(amask))), (g, target)
+        return bound
+
+    def test_sets_pass_the_oracle_on_random_graphs(self):
+        rng = random.Random(131)
+        for _ in range(300):
+            g = random_graph(rng.randint(0, 12), rng, rng.random())
+            lf = max_linear_forest(g).size
+            for target in range(-1, g.n + 1):
+                bound = self._certified(g, target)
+                assert bound >= lf, (g, target)
+
+    def test_bracketed_lf_matches_subset_dp(self):
+        rng = random.Random(137)
+        closed = opened = 0
+        for _ in range(150):
+            g = random_graph(rng.randint(1, 10), rng, rng.random())
+            lf = lf_subset_dp(g)
+            assert LK_FREE.bound(g, 5, DEFAULT_BUDGET) == (4, lf), g
+            greedy = len(forests._greedy_linear_forest(g, matching_number(g).witness))
+            if self._certified(g, greedy) > greedy:
+                opened += 1
+            else:
+                assert greedy == lf, g
+                closed += 1
+            for k in range(1, g.n + 2):
+                assert is_lk_free(g, k) == (lf <= k - 1), (g, k)
+        assert closed > 0 and opened > 0
+
+    def test_bracket_matches_the_search_on_every_host(self):
+        # k = 5..14, n <= 64: the greedy forest meets the A-set bound on all
+        # but two hosts, and the bound row equals the exact search on all
+        hosts = _lk_hosts()
+        assert len(hosts) == 1905
+        left_open = []
+        for p in hosts:
+            host = build_host(p)
+            matching = matching_number(host)
+            greedy = len(forests._greedy_linear_forest(host, matching.witness))
+            lf = max_linear_forest(host).size
+            assert LK_FREE.bound(host, p.k, DEFAULT_BUDGET)[1] == lf, p
+            if self._certified(host, greedy) > greedy:
+                left_open.append((p, greedy, lf))
+        assert left_open == [
+            (ConstructionParams(9, 6, 2, "plusplus"), 6, 7),
+            (ConstructionParams(13, 10, 4, "plusplus"), 10, 11),
+        ]
+
+    @pytest.mark.parametrize("p, greedy, bound", [
+        (ConstructionParams(9, 6, 2, "plusplus"), 6, 7),
+        (ConstructionParams(13, 10, 4, "plusplus"), 10, 11),
+    ], ids=["H++(9,6,2)", "H++(13,10,4)"])
+    def test_open_hosts_fall_back_to_the_search(self, monkeypatch, p, greedy, bound):
+        # the bracket leaves greedy < bound open, so the bound row searches
+        host = build_host(p)
+        matching = matching_number(host)
+        assert len(forests._greedy_linear_forest(host, matching.witness)) == greedy
+        assert self._certified(host, greedy) == bound
+        from linfor.verify import theorems
+
+        calls = []
+        real = theorems.max_linear_forest
+
+        def counted(g, budget):
+            calls.append(g)
+            return real(g, budget=budget)
+
+        monkeypatch.setattr(theorems, "max_linear_forest", counted)
+        k = p.k + 2  # an H++ host is listed for forest parameter k + 2
+        assert LK_FREE.bound(host, k, DEFAULT_BUDGET) == (k - 1, bound)
+        assert calls == [host]
+
+    def test_closed_hosts_never_search(self, monkeypatch):
+        # the benchmark grid's L_k-free bound rows are all closed by the
+        # bracket, so none of them builds a forest search
+        def no_search(*args, **kwargs):
+            raise AssertionError("forest search reached")
+
+        monkeypatch.setattr(forests, "_ForestSearch", no_search)
+        hosts = [(k, p) for family, k, p in _grid_hosts() if family is LK_FREE]
+        assert len(hosts) == 110
+        for k, p in hosts:
+            assert LK_FREE.bound(build_host(p), k, 1) == (k - 1, k - 1), p
+
+    def test_packed_keys_match_the_tuple_sort(self):
+        graphs = []
+        for _, _, p in _grid_hosts():
+            host = build_host(p)
+            graphs.append(host)
+            graphs += [host.with_edge(u, v)
+                       for u, v in _forbidden_edges(host, p, random.Random(0))]
+        rng = random.Random(139)
+        graphs += [random_graph(rng.choice((8, 20, 40, MAX_VERTICES)), rng, rng.random())
+                   for _ in range(100)]
+        assert len(graphs) > 154
+        for g in graphs:
+            witness = matching_number(g).witness
+            assert forests._greedy_linear_forest(g, witness) == _greedy_by_tuples(g, witness)
+
+
 def _check_greedy_forest(n, mask, lf):
     """The graph of mask, once its greedy forest is checked to be a linear
     forest of it with between nu and the lf table's edges."""
@@ -320,7 +463,10 @@ def _sample_graph():
 NO_CYCLE_CALLS = {
     "max_linear_forest": lambda: max_linear_forest(_sample_graph()),
     "is_lk_free": lambda: [is_lk_free(_sample_graph(), k) for k in range(1, 12)],
-    "is_lk_free_search": lambda: is_lk_free(Graph.complete(4), 4),
+    # the net (a triangle with a pendant edge at each corner) reaches the
+    # search at k = 5: nu = 3, the greedy forest and lf have 4 edges, and the
+    # A-set bound gives 5
+    "is_lk_free_search": lambda: is_lk_free(parse_graph6("ExQ?"), 5),
     "count_cliques": lambda: count_cliques(_sample_graph(), 3),
     "canonical_graph": lambda: canonical_graph(_sample_graph()),
     "refined_canonical_key": lambda: refined_canonical_key(11, _sample_graph().adj),

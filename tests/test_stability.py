@@ -12,6 +12,7 @@ from linfor import (
     ConstructionParams,
     Graph,
     build_host,
+    count_cliques,
     disjoint_union,
     to_graph6,
 )
@@ -37,6 +38,7 @@ from linfor.verify.suite import _delete_random_edges, _forbidden_edges
 from linfor.verify.theorems import LK_FREE, MATCHING
 
 from .oracles import (
+    clique_number,
     forest_upper_bound,
     is_linear_forest_in,
     is_matching_in,
@@ -600,6 +602,37 @@ class TestCertifies:
         assert refused == 126
 
 
+class TestSharpness:
+    def test_threshold_hosts_embed_in_no_listed_host(self):
+        # the threshold max{h_r(n, K, d), h_r(n, K, a_s)} is attained by
+        # H(n, K, d) or H(n, K, a_s) at every suite point; both are in the
+        # family with min degree >= d and embed in no listed host, so the
+        # threshold cannot be one lower.  Each no is backed by a clique
+        # number above every listed host's: H(n, K, a) holds K_{K-a}
+        checks = 0
+        for family, ks in ((LK_FREE, range(5, 13)), (MATCHING, range(2, 6))):
+            for k in ks:
+                big_k, a_s = family.forest_k(k), family.stability_a(k)
+                for n in range(20, 41, 2):
+                    listed = family.hosts(n, k)
+                    omega = max(clique_number(build_host(p)) for p in listed)
+                    for d in range(a_s + 1):
+                        graphs = [
+                            build_host(ConstructionParams(n, big_k, a))
+                            for a in sorted({a_s, d})
+                        ]
+                        for g in graphs:
+                            assert family.contains(g, k, d, DEFAULT_BUDGET), (k, n, d)
+                            assert all(embeds_in_host(g, p) is None for p in listed)
+                            assert clique_number(g) > omega, (k, n, d)
+                        for r in (2, 3):
+                            threshold = family_threshold(family, n, k, r, d)
+                            counts = [count_cliques(g, r) for g in graphs]
+                            assert max(counts) == threshold, (k, n, d, r)
+                            checks += len(graphs)
+        assert checks == 1056
+
+
 class TestSuites:
     def test_stability_suite_small(self):
         rows = stability_suite(7, 20, samples=3, seed=1)
@@ -783,11 +816,13 @@ class TestSuites:
                 assert drawn.getstate() == listed.getstate(), (p, seed)
 
     def test_budget_message_names_theorem_and_host(self):
+        # H(9,8,2)'s lf is closed by the A-set bracket; a perturbation of it
+        # reaches the search, which passes 5 states
         with pytest.raises(
             BudgetExceeded,
-            match=r"^theorem4 at n = 20, k = 7, host H\(20,7,3\): linear-forest search",
+            match=r"^theorem4 at n = 9, k = 8, host H\(9,8,2\): linear-forest search",
         ) as info:
-            stability_suite(7, 20, budget=1)
+            stability_suite(8, 9, budget=5)
         assert isinstance(info.value.__cause__, BudgetExceeded)
 
     def test_certification_budget_names_host(self, monkeypatch):

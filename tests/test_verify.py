@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linfor import (
+    BudgetExceeded,
     Graph,
     count_cliques,
     is_canonical,
@@ -318,6 +319,25 @@ class TestBruteEx:
             brute_ex(9, 2, 3)
         with pytest.raises(ValueError):
             brute_ex(6, 2, 3, min_degree=5)
+
+
+class TestOracleBudget:
+    @pytest.mark.parametrize("name, oracle, args, where", [
+        ("is_lk_free", brute_ex, (5, 3, 4, 1), "theorem3 at n = 5, k = 4, r = 3, d = 1"),
+        ("matching_number", brute_ex_matching, (5, 2, 2, None),
+         "theorem5 at n = 5, k = 2, r = 2, d = None"),
+    ], ids=["theorem3", "theorem5"])
+    def test_budget_message_names_the_row(self, monkeypatch, name, oracle, args, where):
+        # a BudgetExceeded out of a family test names the oracle row
+        from linfor.verify import theorems
+
+        def exceed(*args, **kwargs):
+            raise BudgetExceeded("search exceeded")
+
+        monkeypatch.setattr(theorems, name, exceed)
+        with pytest.raises(BudgetExceeded, match=f"^{where}: search exceeded$") as info:
+            oracle(*args, dedup=True)
+        assert isinstance(info.value.__cause__, BudgetExceeded)
 
 
 class TestOracleRanges:
