@@ -17,35 +17,38 @@ from ..cliques import count_cliques
 # the host lists live with the constructions and are re-exported here
 from ..constructions import ConstructionParams, h_r, listed_hosts, matching_hosts
 from ..forests import BudgetExceeded, matching_number, twin_classes
-from ..graphcore import Graph, _mask_of, _touching, iter_bits
+from ..graphcore import Graph, _touching, iter_bits
 from .theorems import LK_FREE, MATCHING, Family
 
 EMBED_BUDGET = 200_000
 
-_PARTS = frozenset("ABC")
-# str.translate tables: "A", or "B", reads "1" and the other labels "0"
-_A_FLAGS = str.maketrans("ABC", "100")
-_B_FLAGS = str.maketrans("ABC", "010")
-
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """Host parameters plus the per-vertex part assignment realizing g ⊆ host."""
+    """Host parameters, the A and B vertex masks (C is the rest) and extra C-edges."""
 
     params: ConstructionParams
-    parts: tuple[str, ...]  # 'A' | 'B' | 'C' per vertex
+    a_mask: int
+    b_mask: int
     extra_edges: tuple[tuple[int, int], ...]
+
+    @property
+    def parts(self) -> tuple[str, ...]:
+        """'A' | 'B' | 'C' per vertex, read from the masks."""
+        return tuple(
+            "A" if self.a_mask >> v & 1 else "B" if self.b_mask >> v & 1 else "C"
+            for v in range(self.params.n)
+        )
 
 
 def validate_embedding(g: Graph, cert: EmbeddingCertificate) -> bool:
     """Check the certificate against its invariants on g."""
     p = cert.params
     n = g.n
-    if n != p.n or len(cert.parts) != n or not _PARTS.issuperset(cert.parts):
+    amask, bmask = cert.a_mask, cert.b_mask
+    # a negative mask shifts down to -1, like one with a bit at or above n
+    if n != p.n or (amask | bmask) >> n or amask & bmask:
         return False
-    labels = "".join(cert.parts)
-    amask = _mask_of(labels.translate(_A_FLAGS))
-    bmask = _mask_of(labels.translate(_B_FLAGS))
     cmask = g.vertex_mask() ^ amask ^ bmask
     if amask.bit_count() != p.a or bmask.bit_count() != p.b_size:
         return False
@@ -97,11 +100,7 @@ def _try_assignment(g: Graph, p: ConstructionParams, amask: int):
         low = spare & -spare
         bmask |= low
         spare ^= low
-    labels = bytearray(b"C" * g.n)
-    for label, mask in ((65, amask), (66, bmask)):  # "A", "B"
-        for v in iter_bits(mask):
-            labels[v] = label
-    cert = EmbeddingCertificate(p, tuple(labels.decode()), tuple(pairs))
+    cert = EmbeddingCertificate(p, amask, bmask, tuple(pairs))
     if not validate_embedding(g, cert):
         raise RuntimeError(f"embedding certificate failed validation: {cert}")
     return cert

@@ -202,20 +202,25 @@ def build_host_reference(p) -> Graph:
 
 
 def validate_embedding_reference(g: Graph, cert) -> bool:
-    """An embedding certificate's invariants on g, one vertex at a time: each
-    label is A, B or C with |A| = a and |B| = b; the extra edges are at most
-    the variant's count of disjoint C-C pairs; every B row stays inside
-    A ∪ B, and every C row inside A plus the vertex's extra-edge partner."""
+    """An embedding certificate's invariants on g, one vertex at a time: the
+    A and B masks are vertex sets of g that do not meet, with |A| = a and
+    |B| = b, and C is every other vertex; the extra edges are at most the
+    variant's count of disjoint C-C pairs; every B row stays inside A ∪ B,
+    and every C row inside A plus the vertex's extra-edge partner."""
     p = cert.params
     n = g.n
-    if n != p.n or len(cert.parts) != n:
+    amask, bmask = cert.a_mask, cert.b_mask
+    if n != p.n or amask < 0 or bmask < 0:
         return False
-    masks = {"A": 0, "B": 0, "C": 0}
-    for v, part in enumerate(cert.parts):
-        if part not in masks:
+    if amask >= 1 << n or bmask >= 1 << n:
+        return False  # a bit at or above n names no vertex
+    cmask = 0
+    for v in range(n):
+        in_a, in_b = amask >> v & 1, bmask >> v & 1
+        if in_a and in_b:
             return False
-        masks[part] |= 1 << v
-    amask, bmask, cmask = masks["A"], masks["B"], masks["C"]
+        if not in_a and not in_b:
+            cmask |= 1 << v
     if amask.bit_count() != p.a or bmask.bit_count() != p.b_size:
         return False
     if len(cert.extra_edges) > p.extra_edge_count:
